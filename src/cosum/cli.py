@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence
 from . import __version__
 from .data import build_synthetic, load_reviews
 from .decoding import (
+    CONFIG_TYPES,
     DecodeConfig,
     SummarizerModels,
     load_decode_config,
@@ -142,26 +143,9 @@ def cmd_build_synthetic(args: argparse.Namespace) -> int:
 
 def _effective_config(args: argparse.Namespace) -> DecodeConfig:
     # Precedence: CLI flag > config file > default.
-    cfg = DecodeConfig()
-    if args.config:
-        cfg = load_decode_config(args.config, base=cfg)
-    overrides = {}
-    for name in (
-        "delta",
-        "gamma",
-        "top_p",
-        "beam_width",
-        "max_len_contrastive",
-        "max_len_common",
-        "min_len",
-        "length_penalty",
-        "mode",
-        "ratio_floor",
-    ):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    return dataclasses.replace(cfg, **overrides)
+    cfg = load_decode_config(args.config) if args.config else DecodeConfig()
+    flags = {name: getattr(args, name) for name in CONFIG_TYPES}
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _parse_grid(raw: Optional[str]) -> Optional[List[float]]:
@@ -197,9 +181,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         for gamma in gamma_grid:
             point_cfg = dataclasses.replace(cfg, delta=delta, gamma=gamma)
             records = [
-                summarize_pair(
-                    models, corpus[a], corpus[b], point_cfg, lm.vocabulary
-                ).to_record()
+                summarize_pair(models, corpus[a], corpus[b], point_cfg).to_record()
                 for a, b in pairs
             ]
             if sweep:
@@ -235,19 +217,49 @@ def _novel_rates(summary_text: str, input_text: str) -> Dict[str, Optional[float
     return rates
 
 
+SIDES = ("contrastive_a", "contrastive_b", "common")
+
+
+def _checked_record(rec: object, where: str, reference: bool) -> dict:
+    """A generated (side: str) or reference (side: list of str) record."""
+    if not isinstance(rec, dict):
+        raise CliError(f"{where}: expected a JSON object")
+    for key in ("pair_id",) + SIDES:
+        if key not in rec:
+            raise CliError(f"{where}: missing key {key!r}")
+        value = rec[key]
+        if reference and key != "pair_id":
+            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                raise CliError(f"{where}: {key!r} must be a list of strings")
+        elif not isinstance(value, str):
+            raise CliError(f"{where}: {key!r} must be a string")
+    return rec
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     with open(args.generated, encoding="utf-8") as fh:
-        generated = {rec["pair_id"]: rec for rec in json.load(fh)}
+        try:
+            records = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{args.generated}: {exc}") from exc
+    if not isinstance(records, list):
+        raise CliError(f"{args.generated}: expected a JSON list of summary records")
+    generated = {}
+    for index, rec in enumerate(records, start=1):
+        rec = _checked_record(rec, f"{args.generated} record {index}", reference=False)
+        generated[rec["pair_id"]] = rec
     references = {}
     with open(args.references, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{args.references} line {lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CliError(f"references line {lineno}: {exc}") from exc
+                raise CliError(f"{where}: {exc}") from exc
+            rec = _checked_record(rec, where, reference=True)
             references[rec["pair_id"]] = rec
     missing = sorted(set(generated) - set(references))
     if missing:
@@ -262,7 +274,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         gen = generated[pair_id]
         ref = references[pair_id]
         entry: Dict[str, object] = {}
-        for side in ("contrastive_a", "contrastive_b", "common"):
+        for side in SIDES:
             cand = tokens_of(gen[side])
             refs = [tokens_of(text) for text in ref[side]]
             entry[side] = {
@@ -310,7 +322,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             [p["intra_rouge"]["rouge1"] for p in per_pair.values()]
         ),
     }
-    for side in ("contrastive_a", "contrastive_b", "common"):
+    for side in SIDES:
         for metric in ("rouge1", "rouge2", "rougeL"):
             means[f"{side}_{metric}_f1"] = _mean(
                 [p[side][metric]["f1"] for p in per_pair.values()]
@@ -334,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cosum",
         description="Comparative opinion summarization via collaborative decoding.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="reserved; pipeline is deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train the background model")
@@ -360,20 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--pair", action="append", required=True, metavar="A,B")
     p_sum.add_argument("--config", default=None)
     p_sum.add_argument("--out", required=True)
-    p_sum.add_argument("--delta", type=float, default=None)
-    p_sum.add_argument("--gamma", type=float, default=None)
-    p_sum.add_argument("--top-p", type=float, default=None, dest="top_p")
-    p_sum.add_argument("--beam-width", type=int, default=None, dest="beam_width")
-    p_sum.add_argument(
-        "--max-len-contrastive", type=int, default=None, dest="max_len_contrastive"
-    )
-    p_sum.add_argument("--max-len-common", type=int, default=None, dest="max_len_common")
-    p_sum.add_argument("--min-len", type=int, default=None, dest="min_len")
-    p_sum.add_argument(
-        "--length-penalty", type=float, default=None, dest="length_penalty"
-    )
-    p_sum.add_argument("--mode", default=None)
-    p_sum.add_argument("--ratio-floor", type=float, default=None, dest="ratio_floor")
+    for name, kind in CONFIG_TYPES.items():
+        p_sum.add_argument("--" + name.replace("_", "-"), type=kind)
     p_sum.add_argument("--delta-grid", default=None, dest="delta_grid")
     p_sum.add_argument("--gamma-grid", default=None, dest="gamma_grid")
     p_sum.set_defaults(func=cmd_summarize)

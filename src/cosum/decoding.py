@@ -8,20 +8,17 @@ adds the two entity-specific distributions to the common one
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, Tuple
 
 from .data import EntityReviewSet
 from .dists import TokenDist, top_p_truncate
 from .lm import ConditionalLM
-from .vocab import EOS_ID
+from .vocab import EOS_ID, UNK_ID
 
 StepFn = Callable[[Tuple[int, ...]], TokenDist]
-
-CONTRASTIVE_MODES = ("contrastive_poe", "contrastive_moe_ablation", "contrastive_vs_common")
-COMMON_MODES = ("common_moe", "common_poe_ablation")
-ALL_MODES = CONTRASTIVE_MODES + COMMON_MODES + ("base",)
 
 
 @dataclass(frozen=True)
@@ -54,12 +51,12 @@ class DecodeConfig:
             raise ValueError("ratio_floor must be > 0")
 
 
-_CONFIG_TYPES = {f.name: f.type for f in fields(DecodeConfig)}
+# f.type is a string under `from __future__ import annotations`.
+CONFIG_TYPES = {f.name: type(f.default) for f in fields(DecodeConfig)}
 
 
-def load_decode_config(path: str, base: Optional[DecodeConfig] = None) -> DecodeConfig:
-    """Parse a key=value config file; unknown keys are an error."""
-    cfg = base or DecodeConfig()
+def load_decode_config(path: str) -> DecodeConfig:
+    """Parse a key=value config file over the defaults; unknown keys are an error."""
     overrides: Dict[str, object] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -69,25 +66,21 @@ def load_decode_config(path: str, base: Optional[DecodeConfig] = None) -> Decode
             if "=" not in line:
                 raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_TYPES:
+            if key not in CONFIG_TYPES:
                 raise ValueError(f"line {lineno}: unknown config key {key!r}")
-            if key == "mode":
-                overrides[key] = value
-            elif key in ("beam_width", "max_len_contrastive", "max_len_common", "min_len"):
-                overrides[key] = int(value)
-            else:
-                overrides[key] = float(value)
-    return replace(cfg, **overrides)
+            overrides[key] = CONFIG_TYPES[key](value)
+    return DecodeConfig(**overrides)
 
 
-def aggregate_contrastive(
+def _ratio_aggregate(
     p_target: TokenDist,
     p_counter: TokenDist,
     delta: float,
     top_p: float,
     ratio_floor: float,
+    combine: Callable[[float, float], float],
 ) -> TokenDist:
-    """target(t) * (target(t) / counter(t))^delta over the target nucleus.
+    """combine(target(t), target(t) / counter(t)) over the target nucleus.
 
     Counterpart values come from its own renormalized nucleus when the
     token is inside it, otherwise from the raw distribution, floored so
@@ -102,8 +95,21 @@ def aggregate_contrastive(
         c = counter_nucleus.entries.get(t)
         if c is None:
             c = max(p_counter.get(t), ratio_floor)
-        scores[t] = pt * (pt / c) ** delta
+        scores[t] = combine(pt, pt / c)
     return TokenDist.from_weights(scores)
+
+
+def aggregate_contrastive(
+    p_target: TokenDist,
+    p_counter: TokenDist,
+    delta: float,
+    top_p: float,
+    ratio_floor: float,
+) -> TokenDist:
+    """target(t) * (target(t) / counter(t))^delta over the target nucleus."""
+    return _ratio_aggregate(
+        p_target, p_counter, delta, top_p, ratio_floor, lambda pt, r: pt * r**delta
+    )
 
 
 def aggregate_contrastive_moe(
@@ -114,17 +120,9 @@ def aggregate_contrastive_moe(
     ratio_floor: float,
 ) -> TokenDist:
     """Additive ablation: target(t) + delta * target(t)/counter(t)."""
-    candidates = top_p_truncate(p_target, top_p)
-    if delta == 0.0:
-        return candidates
-    counter_nucleus = top_p_truncate(p_counter, top_p)
-    scores = {}
-    for t, pt in candidates.entries.items():
-        c = counter_nucleus.entries.get(t)
-        if c is None:
-            c = max(p_counter.get(t), ratio_floor)
-        scores[t] = pt + delta * (pt / c)
-    return TokenDist.from_weights(scores)
+    return _ratio_aggregate(
+        p_target, p_counter, delta, top_p, ratio_floor, lambda pt, r: pt + delta * r
+    )
 
 
 def aggregate_contrastive_vs_common(
@@ -180,13 +178,12 @@ def symmetric_common_dist(
     reviews_a: EntityReviewSet,
     reviews_b: EntityReviewSet,
 ) -> TokenDist:
-    """Mean of the two input orders, so the result is order-invariant."""
-    d_ab = lm_comm.next_dist(prefix, (reviews_a, reviews_b))
-    d_ba = lm_comm.next_dist(prefix, (reviews_b, reviews_a))
-    tokens = sorted(set(d_ab.support) | set(d_ba.support))
-    return TokenDist.from_weights(
-        {t: 0.5 * (d_ab.get(t) + d_ba.get(t)) for t in tokens}
-    )
+    """The common model conditioned on both sets.
+
+    One call suffices: ConditionalLM makes two-set conditions
+    order-invariant.
+    """
+    return lm_comm.next_dist(prefix, (reviews_a, reviews_b))
 
 
 @dataclass(frozen=True)
@@ -201,19 +198,20 @@ class Hypothesis:
         return self.logscore / float(len(self.tokens)) ** alpha
 
 
-def beam_decode(
-    step_fn: StepFn, cfg: DecodeConfig, max_len: Optional[int] = None
-) -> Tuple[int, ...]:
+def beam_decode(step_fn: StepFn, cfg: DecodeConfig, max_len: int) -> Tuple[int, ...]:
     """Beam search over step_fn's aggregated distributions.
 
-    EOS is masked (mass renormalized away) until min_len tokens have been
-    emitted. Finished hypotheses are frozen but keep competing on their
-    length-normalized score. Returns the best finished hypothesis, or the
-    best unfinished one if nothing finished within max_len.
+    UNK is always masked, and EOS until min_len tokens have been emitted
+    (masked mass is renormalized away). Finished hypotheses are frozen but
+    keep competing on their length-normalized score. Returns the best
+    finished hypothesis, or the best unfinished one if nothing finished
+    within max_len.
     """
-    if max_len is None:
-        max_len = cfg.max_len_contrastive
     alpha = cfg.length_penalty
+
+    def rank(h: Hypothesis) -> Tuple[float, Tuple[int, ...]]:
+        return (-h.normalized_score(alpha), h.tokens)
+
     beams = [Hypothesis(tokens=(), logscore=0.0, finished=False)]
     for _ in range(max_len):
         if all(h.finished for h in beams):
@@ -226,6 +224,7 @@ def beam_decode(
             dist = step_fn(hyp.tokens)
             if len(hyp.tokens) < cfg.min_len:
                 dist = dist.without(EOS_ID)
+            dist = dist.without(UNK_ID)
             if not dist.entries:
                 raise ValueError("empty step distribution")
             for t, p in dist.sorted_items():
@@ -236,12 +235,9 @@ def beam_decode(
                         finished=t == EOS_ID,
                     )
                 )
-        pool.sort(key=lambda h: (-h.normalized_score(alpha), h.tokens))
-        beams = pool[: cfg.beam_width]
+        beams = heapq.nsmallest(cfg.beam_width, pool, key=rank)
     finished = [h for h in beams if h.finished]
-    ranked = finished or beams
-    best = min(ranked, key=lambda h: (-h.normalized_score(alpha), h.tokens))
-    return best.tokens
+    return min(finished or beams, key=rank).tokens
 
 
 @dataclass(frozen=True)
@@ -268,56 +264,63 @@ class SummarizerModels:
     common: ConditionalLM
 
 
-def _contrastive_step(
-    models: SummarizerModels,
-    target: EntityReviewSet,
-    counter: EntityReviewSet,
-    cfg: DecodeConfig,
-) -> StepFn:
-    mode = cfg.mode if cfg.mode in CONTRASTIVE_MODES + ("base",) else "contrastive_poe"
-
-    def step(prefix: Tuple[int, ...]) -> TokenDist:
-        p_target = models.contrastive.next_dist(prefix, target)
-        if mode == "base":
-            return top_p_truncate(p_target, cfg.top_p)
-        if mode == "contrastive_vs_common":
-            p_comm = symmetric_common_dist(models.common, prefix, target, counter)
-            return aggregate_contrastive_vs_common(
-                p_target, p_comm, cfg.delta, cfg.top_p, cfg.ratio_floor
-            )
-        p_counter = models.contrastive.next_dist(prefix, counter)
-        if mode == "contrastive_moe_ablation":
-            return aggregate_contrastive_moe(
-                p_target, p_counter, cfg.delta, cfg.top_p, cfg.ratio_floor
-            )
-        return aggregate_contrastive(
-            p_target, p_counter, cfg.delta, cfg.top_p, cfg.ratio_floor
-        )
-
-    return step
+def _entity_dists(models, prefix, *review_sets):
+    return [models.contrastive.next_dist(prefix, r) for r in review_sets]
 
 
-def _common_step(
-    models: SummarizerModels,
-    reviews_a: EntityReviewSet,
-    reviews_b: EntityReviewSet,
-    cfg: DecodeConfig,
-) -> StepFn:
-    mode = cfg.mode if cfg.mode in COMMON_MODES + ("base",) else "common_moe"
+def _contrastive_base(models, prefix, x, y, cfg):
+    return top_p_truncate(models.contrastive.next_dist(prefix, x), cfg.top_p)
 
-    def step(prefix: Tuple[int, ...]) -> TokenDist:
-        p_comm = symmetric_common_dist(models.common, prefix, reviews_a, reviews_b)
-        if mode == "base":
-            return top_p_truncate(p_comm, cfg.top_p)
-        p_a = models.contrastive.next_dist(prefix, reviews_a)
-        p_b = models.contrastive.next_dist(prefix, reviews_b)
-        if mode == "common_poe_ablation":
-            return aggregate_common_poe(
-                p_comm, p_a, p_b, cfg.gamma, cfg.top_p, cfg.ratio_floor
-            )
-        return aggregate_common(p_comm, p_a, p_b, cfg.gamma, cfg.top_p)
 
-    return step
+def _contrastive_poe(models, prefix, x, y, cfg):
+    p_x, p_y = _entity_dists(models, prefix, x, y)
+    return aggregate_contrastive(p_x, p_y, cfg.delta, cfg.top_p, cfg.ratio_floor)
+
+
+def _contrastive_moe(models, prefix, x, y, cfg):
+    p_x, p_y = _entity_dists(models, prefix, x, y)
+    return aggregate_contrastive_moe(p_x, p_y, cfg.delta, cfg.top_p, cfg.ratio_floor)
+
+
+def _contrastive_vs_common(models, prefix, x, y, cfg):
+    p_x = models.contrastive.next_dist(prefix, x)
+    p_comm = symmetric_common_dist(models.common, prefix, x, y)
+    return aggregate_contrastive_vs_common(
+        p_x, p_comm, cfg.delta, cfg.top_p, cfg.ratio_floor
+    )
+
+
+def _common_base(models, prefix, x, y, cfg):
+    return top_p_truncate(symmetric_common_dist(models.common, prefix, x, y), cfg.top_p)
+
+
+def _common_moe(models, prefix, x, y, cfg):
+    p_comm = symmetric_common_dist(models.common, prefix, x, y)
+    p_x, p_y = _entity_dists(models, prefix, x, y)
+    return aggregate_common(p_comm, p_x, p_y, cfg.gamma, cfg.top_p)
+
+
+def _common_poe(models, prefix, x, y, cfg):
+    p_comm = symmetric_common_dist(models.common, prefix, x, y)
+    p_x, p_y = _entity_dists(models, prefix, x, y)
+    return aggregate_common_poe(p_comm, p_x, p_y, cfg.gamma, cfg.top_p, cfg.ratio_floor)
+
+
+# mode -> (contrastive-side step, common-side step). A step maps (models,
+# prefix, x, y, cfg) to one step distribution, where x, y is the target and
+# counterpart, or the pair for the common side. A mode that ablates one
+# side decodes the other with the paper's aggregator (PoE contrastive, MoE
+# common), so common_moe decodes exactly as contrastive_poe does. Steps look
+# up aggregators as module globals at call time, so wrappers see every call.
+DECODE_MODES = {
+    "contrastive_poe": (_contrastive_poe, _common_moe),
+    "contrastive_moe_ablation": (_contrastive_moe, _common_moe),
+    "contrastive_vs_common": (_contrastive_vs_common, _common_moe),
+    "common_moe": (_contrastive_poe, _common_moe),
+    "common_poe_ablation": (_contrastive_poe, _common_poe),
+    "base": (_contrastive_base, _common_base),
+}
+ALL_MODES = tuple(DECODE_MODES)
 
 
 def summarize_pair(
@@ -325,29 +328,20 @@ def summarize_pair(
     reviews_a: EntityReviewSet,
     reviews_b: EntityReviewSet,
     cfg: DecodeConfig,
-    vocabulary=None,
 ) -> SummaryTriple:
     """Decode the two contrastive summaries and the common summary."""
-    if vocabulary is None:
-        vocabulary = models.contrastive.vocabulary  # type: ignore[attr-defined]
-    tokens_a = beam_decode(
-        _contrastive_step(models, reviews_a, reviews_b, cfg),
-        cfg,
-        max_len=cfg.max_len_contrastive,
-    )
-    tokens_b = beam_decode(
-        _contrastive_step(models, reviews_b, reviews_a, cfg),
-        cfg,
-        max_len=cfg.max_len_contrastive,
-    )
-    tokens_common = beam_decode(
-        _common_step(models, reviews_a, reviews_b, cfg),
-        cfg,
-        max_len=cfg.max_len_common,
-    )
+    contrastive_side, common_side = DECODE_MODES[cfg.mode]
+
+    def decode(side, x, y, max_len: int) -> str:
+        tokens = beam_decode(
+            lambda prefix: side(models, prefix, x, y, cfg), cfg, max_len
+        )
+        return models.contrastive.vocabulary.decode(tokens)
+
+    max_len = cfg.max_len_contrastive
     return SummaryTriple(
         pair_id=f"{reviews_a.entity_id}|{reviews_b.entity_id}",
-        contrastive_a=vocabulary.decode(tokens_a),
-        contrastive_b=vocabulary.decode(tokens_b),
-        common=vocabulary.decode(tokens_common),
+        contrastive_a=decode(contrastive_side, reviews_a, reviews_b, max_len),
+        contrastive_b=decode(contrastive_side, reviews_b, reviews_a, max_len),
+        common=decode(common_side, reviews_a, reviews_b, cfg.max_len_common),
     )

@@ -11,23 +11,21 @@ class TokenDist:
     """Sparse probability distribution over token ids.
 
     Entries are strictly positive; zero-probability tokens are simply
-    absent. Construction through ``from_weights`` drops zeros and can
-    renormalize.
+    absent. Construction through ``from_weights`` drops zeros and
+    renormalizes.
     """
 
     entries: Dict[int, float] = field(default_factory=dict)
 
     @staticmethod
-    def from_weights(weights: Dict[int, float], normalize: bool = True) -> "TokenDist":
+    def from_weights(weights: Dict[int, float]) -> "TokenDist":
         # Sorted iteration keeps float summation order (and thus the exact
         # result) independent of how the weights dict was assembled.
         positive = {t: weights[t] for t in sorted(weights) if weights[t] > 0.0}
         if not positive:
             return TokenDist({})
-        if normalize:
-            total = sum(positive.values())
-            positive = {t: w / total for t, w in positive.items()}
-        return TokenDist(positive)
+        total = sum(positive.values())
+        return TokenDist({t: w / total for t, w in positive.items()})
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -22,7 +22,13 @@ Condition = Union[EntityReviewSet, Tuple[EntityReviewSet, EntityReviewSet]]
 
 
 class ConditionalLM(Protocol):
-    """Deterministic (prefix, conditioning reviews) -> normalized TokenDist."""
+    """Deterministic (prefix, conditioning reviews) -> normalized TokenDist.
+
+    A two-set condition is order-invariant: ``next_dist(p, (a, b))`` and
+    ``next_dist(p, (b, a))`` return equal entries.
+    """
+
+    vocabulary: Vocabulary
 
     def next_dist(self, prefix: Sequence[int], condition: Condition) -> TokenDist:
         ...
@@ -174,8 +180,6 @@ class CacheInterpolatedLM:
             t: lam * cache.get(t) + (1.0 - lam) * p
             for t, p in background.entries.items()
         }
-        if lam == 1.0:
-            combined = dict(cache.entries)
         return TokenDist.from_weights(combined)
 
 

@@ -183,29 +183,19 @@ class TestLogOddsSlope:
                 assert slope == pytest.approx(expected_slope, abs=1e-9)
 
 
-class FakeOrderSensitiveLM:
-    def __init__(self, by_order):
-        self.by_order = by_order
-
-    def next_dist(self, prefix, condition):
-        return self.by_order[tuple(s.entity_id for s in condition)]
-
-
 class TestSymmetricCommonDist:
-    def test_mean_of_asymmetric_backend(self, corpus_by_entity):
-        ra = corpus_by_entity["harbor_hotel"]
-        rb = corpus_by_entity["garden_inn"]
-        lm = FakeOrderSensitiveLM(
-            {
-                ("harbor_hotel", "garden_inn"): dist({1: 1.0}),
-                ("garden_inn", "harbor_hotel"): dist({2: 1.0}),
-            }
-        )
-        out = symmetric_common_dist(lm, (), ra, rb)
-        assert out.get(1) == pytest.approx(0.5)
-        assert out.get(2) == pytest.approx(0.5)
-        swapped = symmetric_common_dist(lm, (), rb, ra)
-        assert swapped.entries == out.entries
+    @given(data=st.data())
+    def test_two_set_condition_is_order_invariant(
+        self, data, trained_lm, corpus_by_entity
+    ):
+        entity_ids = sorted(corpus_by_entity)
+        ra = corpus_by_entity[data.draw(st.sampled_from(entity_ids))]
+        rb = corpus_by_entity[data.draw(st.sampled_from(entity_ids))]
+        token_ids = st.integers(min_value=1, max_value=len(trained_lm.vocabulary) - 1)
+        prefix = tuple(data.draw(st.lists(token_ids, max_size=5)))
+        ab = trained_lm.next_dist(prefix, (ra, rb))
+        assert ab.entries == trained_lm.next_dist(prefix, (rb, ra)).entries
+        assert symmetric_common_dist(trained_lm, prefix, ra, rb).entries == ab.entries
 
     def test_order_insensitive_backend_unchanged(self, trained_lm, corpus_by_entity):
         ra = corpus_by_entity["harbor_hotel"]

@@ -24,6 +24,13 @@ def model_path(tmp_path_factory, corpus_path):
 SUMMARIZE_FAST = ["--min-len", "3", "--max-len-contrastive", "25", "--max-len-common", "15"]
 
 
+def test_global_seed_flag_is_a_usage_error(corpus_path, tmp_path):
+    argv = ["train", "--reviews", corpus_path, "--out", str(tmp_path / "m.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "0"] + argv)
+    assert exc.value.code == 2
+
+
 class TestTrain:
     def test_model_roundtrips(self, model_path, tmp_path):
         from cosum.lm import load_model, save_model
@@ -199,6 +206,39 @@ class TestSummarize:
         assert ab["contrastive_b"] == ba["contrastive_a"]
         assert ab["common"] == ba["common"]
 
+    def test_unseen_words_never_emit_unk(self, model_path, corpus_path, tmp_path):
+        reviews = tmp_path / "reviews.jsonl"
+        unseen = "".join(
+            json.dumps({"entity_id": "zz_unseen", "review_id": f"u{i}", "text": text}) + "\n"
+            for i, text in enumerate(["qwxv blorp snizzle fremp"] * 3)
+        )
+        with open(corpus_path) as fh:
+            reviews.write_text(fh.read() + unseen)
+        out = tmp_path / "unseen.json"
+        code = main(
+            [
+                "summarize",
+                "--model",
+                model_path,
+                "--reviews",
+                str(reviews),
+                "--pair",
+                "airport_express,zz_unseen",
+                "--out",
+                str(out),
+                "--max-len-contrastive",
+                "12",
+                "--max-len-common",
+                "12",
+                "--min-len",
+                "5",
+            ]
+        )
+        assert code == 0
+        (record,) = json.loads(out.read_text())
+        for side in ("contrastive_a", "contrastive_b", "common"):
+            assert record[side] and "<unk>" not in record[side]
+
     def test_unknown_entity_named_in_error(self, model_path, corpus_path, tmp_path, capsys):
         code = main(
             [
@@ -356,11 +396,10 @@ class TestEvaluate:
         # DS by hand: bags {the,cat,sat}, {the,cat}, {a,dog}.
         assert pair["distinctiveness"] == pytest.approx(1.0 - 2.0 / 5.0, abs=1e-9)
 
-    def test_missing_reference_ids_listed(self, tmp_path, capsys):
-        gen_path, _ = self.make_generated(tmp_path)
+    def evaluate(self, tmp_path, gen_path, references_text):
         refs = tmp_path / "refs.jsonl"
-        refs.write_text("")
-        code = main(
+        refs.write_text(references_text)
+        return main(
             [
                 "evaluate",
                 "--generated",
@@ -371,5 +410,52 @@ class TestEvaluate:
                 str(tmp_path / "m.json"),
             ]
         )
-        assert code == 1
+
+    def test_missing_reference_ids_listed(self, tmp_path, capsys):
+        gen_path, _ = self.make_generated(tmp_path)
+        assert self.evaluate(tmp_path, gen_path, "") == 1
         assert "harbor_hotel|garden_inn" in capsys.readouterr().err
+
+    REFERENCE = {
+        "pair_id": "harbor_hotel|garden_inn",
+        "contrastive_a": ["a"],
+        "contrastive_b": ["b"],
+        "common": ["c"],
+    }
+
+    @pytest.mark.parametrize(
+        "generated,references,named",
+        [
+            ("{}", None, "generated.json: expected a JSON list"),
+            ("[1]", None, "generated.json record 1: expected a JSON object"),
+            ("not json", None, "generated.json: Expecting value"),
+            ('[{"pair_id": "p"}]', None, "record 1: missing key 'contrastive_a'"),
+            ('[{"contrastive_a": ""}]', None, "record 1: missing key 'pair_id'"),
+            (None, dict(REFERENCE, common=None), "refs.jsonl line 1: 'common' must be"),
+            (None, {"common": ["c"]}, "refs.jsonl line 1: missing key 'pair_id'"),
+            (None, {"pair_id": "p"}, "refs.jsonl line 1: missing key 'contrastive_a'"),
+            (None, [REFERENCE], "refs.jsonl line 1: expected a JSON object"),
+        ],
+        ids=[
+            "gen-not-list",
+            "gen-not-object",
+            "gen-not-json",
+            "gen-no-side",
+            "gen-no-pair-id",
+            "ref-side-not-list",
+            "ref-no-pair-id",
+            "ref-no-side",
+            "ref-not-object",
+        ],
+    )
+    def test_malformed_records_are_one_error_line(
+        self, tmp_path, capsys, generated, references, named
+    ):
+        gen_path, _ = self.make_generated(tmp_path)
+        if generated is not None:
+            gen_path.write_text(generated)
+        reference = self.REFERENCE if references is None else references
+        assert self.evaluate(tmp_path, gen_path, json.dumps(reference) + "\n") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
