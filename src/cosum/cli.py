@@ -21,7 +21,7 @@ from .decoding import (
     load_decode_config,
     summarize_pair,
 )
-from .lm import CacheInterpolatedLM, load_model, save_model, train_ngram
+from .lm import load_model, save_model, train_model
 from .metrics import (
     distinctiveness,
     intra_pair_score,
@@ -30,7 +30,6 @@ from .metrics import (
     token_bag,
     tokens_of,
 )
-from .vocab import Vocabulary
 
 
 class CliError(Exception):
@@ -87,20 +86,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise CliError(f"corpus not found: {args.reviews}")
     corpus = load_reviews(args.reviews)
     texts = [r.text for es in corpus for r in es.reviews]
-    if not texts:
-        raise CliError("empty training corpus")
-    vocabulary = Vocabulary()
-    sequences = [vocabulary.encode(text, extend=True) for text in texts]
-    background = train_ngram(sequences, args.order, args.eps, vocabulary)
-    cache_order = args.cache_order if args.cache_order else args.order
-    lm = CacheInterpolatedLM(background, cache_order=cache_order, lam=args.lam)
+    lm = train_model(texts, args.order, args.lam, args.eps)
     save_model(lm, args.out)
     _write_manifest(
         args.out,
         "train",
         {
             "order": args.order,
-            "cache_order": cache_order,
+            "cache_order": lm.cache_order,
             "lambda": args.lam,
             "eps": args.eps,
         },
@@ -148,13 +141,14 @@ def _effective_config(args: argparse.Namespace) -> DecodeConfig:
     return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
-def _parse_grid(raw: Optional[str]) -> Optional[List[float]]:
-    if raw is None:
-        return None
+def _parse_grid(raw: str) -> List[float]:
     try:
-        return [float(v) for v in raw.split(",") if v.strip()]
+        grid = [float(v) for v in raw.split(",") if v.strip()]
     except ValueError as exc:
         raise CliError(f"invalid grid value: {raw}") from exc
+    if not grid:
+        raise CliError(f"empty grid: {raw!r}")
+    return grid
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:
@@ -172,11 +166,11 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     models = SummarizerModels(contrastive=lm, common=lm)
 
-    delta_grid = _parse_grid(args.delta_grid) or [cfg.delta]
-    gamma_grid = _parse_grid(args.gamma_grid) or [cfg.gamma]
+    delta_grid = [cfg.delta] if args.delta_grid is None else _parse_grid(args.delta_grid)
+    gamma_grid = [cfg.gamma] if args.gamma_grid is None else _parse_grid(args.gamma_grid)
     sweep = args.delta_grid is not None or args.gamma_grid is not None
+    fingerprint = _sha256(args.model)
 
-    outputs = []
     for delta in delta_grid:
         for gamma in gamma_grid:
             point_cfg = dataclasses.replace(cfg, delta=delta, gamma=gamma)
@@ -190,14 +184,13 @@ def cmd_summarize(args: argparse.Namespace) -> int:
             else:
                 out_path = args.out
             _atomic_write_text(out_path, _dump_json(records))
-            outputs.append(out_path)
             _write_manifest(
                 out_path,
                 "summarize",
                 dataclasses.asdict(point_cfg),
                 inputs=[args.model, args.reviews],
                 outputs=[out_path],
-                model_fingerprint=_sha256(args.model),
+                model_fingerprint=fingerprint,
             )
     return 0
 
@@ -206,9 +199,7 @@ def _mean(values: Sequence[float]) -> Optional[float]:
     return sum(values) / len(values) if values else None
 
 
-def _novel_rates(summary_text: str, input_text: str) -> Dict[str, Optional[float]]:
-    summary = tokens_of(summary_text)
-    source = tokens_of(input_text)
+def _novel_rates(summary: List[str], source: List[str]) -> Dict[str, Optional[float]]:
     rates: Dict[str, Optional[float]] = {}
     for n in (1, 2):
         rates[f"novel_{n}gram"] = (
@@ -273,22 +264,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for pair_id in sorted(generated):
         gen = generated[pair_id]
         ref = references[pair_id]
+        tokens = {side: tokens_of(gen[side]) for side in SIDES}
         entry: Dict[str, object] = {}
         for side in SIDES:
-            cand = tokens_of(gen[side])
             refs = [tokens_of(text) for text in ref[side]]
             entry[side] = {
-                "rouge1": rouge_multi(cand, refs, 1).to_record(),
-                "rouge2": rouge_multi(cand, refs, 2).to_record(),
-                "rougeL": rouge_multi(cand, refs, None).to_record(),
+                "rouge1": rouge_multi(tokens[side], refs, 1).to_record(),
+                "rouge2": rouge_multi(tokens[side], refs, 2).to_record(),
+                "rougeL": rouge_multi(tokens[side], refs, None).to_record(),
             }
         entry["distinctiveness"] = distinctiveness(
-            token_bag(tokens_of(gen["contrastive_a"])),
-            token_bag(tokens_of(gen["contrastive_b"])),
-            token_bag(tokens_of(gen["common"])),
+            *(token_bag(tokens[side]) for side in SIDES)
         )
         intra1, intra2, intral = intra_pair_score(
-            tokens_of(gen["contrastive_a"]), tokens_of(gen["contrastive_b"])
+            tokens["contrastive_a"], tokens["contrastive_b"]
         )
         entry["intra_rouge"] = {
             "rouge1": intra1.f1,
@@ -300,17 +289,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             for entity_id in (entity_a, entity_b):
                 if entity_id not in corpus:
                     raise CliError(f"unknown entity id: {entity_id}")
+            # No token spans a joining space, so the common side's source
+            # is the two entity sources concatenated.
+            source_a = tokens_of(" ".join(corpus[entity_a].texts))
+            source_b = tokens_of(" ".join(corpus[entity_b].texts))
             entry["novelty"] = {
-                "contrastive_a": _novel_rates(
-                    gen["contrastive_a"], " ".join(corpus[entity_a].texts)
-                ),
-                "contrastive_b": _novel_rates(
-                    gen["contrastive_b"], " ".join(corpus[entity_b].texts)
-                ),
-                "common": _novel_rates(
-                    gen["common"],
-                    " ".join(corpus[entity_a].texts + corpus[entity_b].texts),
-                ),
+                "contrastive_a": _novel_rates(tokens["contrastive_a"], source_a),
+                "contrastive_b": _novel_rates(tokens["contrastive_b"], source_b),
+                "common": _novel_rates(tokens["common"], source_a + source_b),
             }
         per_pair[pair_id] = entry
 
@@ -352,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--reviews", required=True)
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--order", type=int, default=3)
-    p_train.add_argument("--cache-order", type=int, default=None, dest="cache_order")
     p_train.add_argument("--lam", type=float, default=0.7)
     p_train.add_argument("--eps", type=float, default=1e-4)
     p_train.set_defaults(func=cmd_train)

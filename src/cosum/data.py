@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .vocab import tokenize_text
@@ -66,15 +66,19 @@ def load_reviews(path: str) -> List[EntityReviewSet]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: invalid JSON ({exc})") from exc
+                raise ValueError(f"{path} line {lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path} line {lineno}: expected a JSON object")
             for key in ("entity_id", "review_id", "text"):
                 if key not in obj:
-                    raise ValueError(f"line {lineno}: missing field {key!r}")
+                    raise ValueError(f"{path} line {lineno}: missing field {key!r}")
+            if not isinstance(obj["text"], str):
+                raise ValueError(f"{path} line {lineno}: 'text' must be a string")
             review = Review(str(obj["entity_id"]), str(obj["review_id"]), obj["text"])
             dup_key = (review.entity_id, review.review_id)
             if dup_key in seen:
                 raise ValueError(
-                    f"line {lineno}: duplicate review id {review.review_id!r} "
+                    f"{path} line {lineno}: duplicate review id {review.review_id!r} "
                     f"for entity {review.entity_id!r}"
                 )
             seen.add(dup_key)
@@ -143,6 +147,8 @@ class SyntheticPair:
 
 @dataclass
 class SyntheticBuildResult:
+    """k_truncated: fewer than k pairs remain, counterpart drops included."""
+
     pairs: List[SyntheticPair]
     skipped: List[dict] = field(default_factory=list)
     k_truncated: bool = False
@@ -178,14 +184,11 @@ def build_synthetic(
     pairs: List[SyntheticPair] = []
     skipped: List[dict] = []
     for entity in corpus:
+        eligible = [c for c in entity.reviews if lo_in <= c.length <= hi_in]
         for r in entity.reviews:
             if not lo_sum <= r.length <= hi_sum:
                 continue
-            candidates = [
-                c
-                for c in entity.reviews
-                if c.review_id != r.review_id and lo_in <= c.length <= hi_in
-            ]
+            candidates = [c for c in eligible if c.review_id != r.review_id]
             if len(candidates) < n:
                 skipped.append(
                     {
@@ -197,20 +200,17 @@ def build_synthetic(
                 continue
             # The objective is a separable sum, so the best size-n subset
             # is the n individually most similar candidates.
-            scored = sorted(
-                candidates,
-                key=lambda c: (-tfidf_similarity(r, c, stats), c.review_id),
-            )
-            chosen = scored[:n]
+            chosen = sorted(
+                ((tfidf_similarity(r, c, stats), c) for c in candidates),
+                key=lambda scored: (-scored[0], scored[1].review_id),
+            )[:n]
             pairs.append(
                 SyntheticPair(
                     task=task,
                     entity_id=entity.entity_id,
                     pseudo_summary=r,
-                    inputs=chosen,
-                    similarity_sum=sum(
-                        tfidf_similarity(r, c, stats) for c in chosen
-                    ),
+                    inputs=[c for _, c in chosen],
+                    similarity_sum=sum(score for score, _ in chosen),
                 )
             )
 
@@ -221,7 +221,6 @@ def build_synthetic(
             p.pseudo_summary.review_id,
         )
     )
-    k_truncated = len(pairs) < k
     kept = pairs[:k]
 
     if task == "common":
@@ -251,16 +250,7 @@ def build_synthetic(
                     other.pseudo_summary.review_id,
                 ),
             )
-            with_counterparts.append(
-                SyntheticPair(
-                    task=pair.task,
-                    entity_id=pair.entity_id,
-                    pseudo_summary=pair.pseudo_summary,
-                    inputs=pair.inputs,
-                    similarity_sum=pair.similarity_sum,
-                    counterpart=counterpart,
-                )
-            )
+            with_counterparts.append(replace(pair, counterpart=counterpart))
         kept = with_counterparts
 
-    return SyntheticBuildResult(pairs=kept, skipped=skipped, k_truncated=k_truncated)
+    return SyntheticBuildResult(pairs=kept, skipped=skipped, k_truncated=len(kept) < k)

@@ -183,6 +183,16 @@ class CacheInterpolatedLM:
         return TokenDist.from_weights(combined)
 
 
+def train_model(
+    texts: Sequence[str], order: int, lam: float, eps: float
+) -> CacheInterpolatedLM:
+    """Fit the background n-gram LM on texts; the cache model shares its order."""
+    vocabulary = Vocabulary()
+    sequences = [vocabulary.encode(text, extend=True) for text in texts]
+    background = train_ngram(sequences, order, eps, vocabulary)
+    return CacheInterpolatedLM(background, cache_order=order, lam=lam)
+
+
 MODEL_FORMAT_VERSION = 1
 
 
@@ -208,10 +218,18 @@ def save_model(lm: CacheInterpolatedLM, path: str) -> None:
 
 def load_model(path: str) -> CacheInterpolatedLM:
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object")
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version!r}")
+        raise ValueError(f"{path}: unsupported model format version {version!r}")
+    for key in ("vocabulary", "order", "eps", "lambda", "cache_order", "counts"):
+        if key not in payload:
+            raise ValueError(f"{path}: missing key {key!r}")
     vocabulary = Vocabulary(payload["vocabulary"])
     background = NGramLM(
         order=payload["order"], vocabulary=vocabulary, eps=payload["eps"]

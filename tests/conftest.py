@@ -3,8 +3,8 @@ import os
 import hypothesis
 import pytest
 
-from cosum import CacheInterpolatedLM, Vocabulary, train_ngram
 from cosum.decoding import SummarizerModels
+from cosum.lm import train_model
 from cosum.sample_corpus import build_sample_corpus
 
 hypothesis.settings.register_profile("ci", deadline=None)
@@ -23,14 +23,8 @@ def corpus_by_entity(sample_corpus):
 
 @pytest.fixture(scope="session")
 def trained_lm(sample_corpus):
-    vocabulary = Vocabulary()
-    sequences = [
-        vocabulary.encode(r.text, extend=True)
-        for es in sample_corpus
-        for r in es.reviews
-    ]
-    background = train_ngram(sequences, order=3, eps=1e-4, vocabulary=vocabulary)
-    return CacheInterpolatedLM(background, cache_order=3, lam=0.7)
+    texts = [r.text for es in sample_corpus for r in es.reviews]
+    return train_model(texts, order=3, lam=0.7, eps=1e-4)
 
 
 @pytest.fixture(scope="session")

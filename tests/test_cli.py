@@ -67,6 +67,12 @@ class TestTrain:
         d2 = lm.background.next_dist((v.lookup("the"), v.lookup("staff")))
         assert d1.entries == d2.entries
 
+    def test_cache_order_flag_is_a_usage_error(self, corpus_path, tmp_path):
+        argv = ["train", "--reviews", corpus_path, "--out", str(tmp_path / "m.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--cache-order", "2"])
+        assert exc.value.code == 2
+
     def test_missing_corpus_fails(self, tmp_path, capsys):
         code = main(
             ["train", "--reviews", str(tmp_path / "none.jsonl"), "--out", "x.json"]
@@ -255,6 +261,51 @@ class TestSummarize:
         )
         assert code == 1
         assert "atlantis" in capsys.readouterr().err
+
+    REVIEW = '{"entity_id": "x", "review_id": "1", "text": "ok"}\n'
+
+    @pytest.mark.parametrize(
+        "flags,model_text,reviews_text,named",
+        [
+            (["--delta-grid", ","], None, None, "error: empty grid: ','"),
+            (["--gamma-grid", " "], None, None, "error: empty grid: ' '"),
+            ([], "not json", None, "bad_model.json: Expecting value: line 1"),
+            ([], "[]", None, "bad_model.json: expected a JSON object"),
+            ([], '{"format_version": 1}', None, "bad_model.json: missing key 'voc"),
+            ([], None, REVIEW + "7\n", "bad.jsonl line 2: expected a JSON object"),
+            (
+                [],
+                None,
+                REVIEW + '{"entity_id": "x", "review_id": "2", "text": 3}\n',
+                "bad.jsonl line 2: 'text' must be a string",
+            ),
+        ],
+        ids=[
+            "empty-delta-grid",
+            "empty-gamma-grid",
+            "model-not-json",
+            "model-not-object",
+            "model-no-vocabulary",
+            "review-not-object",
+            "review-text-not-string",
+        ],
+    )
+    def test_bad_input_is_one_error_line(
+        self, model_path, corpus_path, tmp_path, capsys,
+        flags, model_text, reviews_text, named,
+    ):
+        if model_text is not None:
+            model_path = tmp_path / "bad_model.json"
+            model_path.write_text(model_text)
+        if reviews_text is not None:
+            corpus_path = tmp_path / "bad.jsonl"
+            corpus_path.write_text(reviews_text)
+        out = tmp_path / "out.json"
+        assert self.run_summarize(str(model_path), str(corpus_path), out, flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not list(tmp_path.glob("out*"))
 
     def test_config_file_and_flag_precedence(self, model_path, corpus_path, tmp_path):
         cfg = tmp_path / "decode.cfg"

@@ -210,6 +210,17 @@ class TestBuildSynthetic:
         result = build_synthetic(corpus, "contrastive", n=2, k=1000)
         assert result.k_truncated
 
+    def test_k_truncated_counts_counterpart_drops(self):
+        rng = random.Random(10)
+        lengths = [20, 22, 24, 26, 60, 62, 64, 66]
+        reviews = [make_review("e0", f"r{i}", rng, n) for i, n in enumerate(lengths)]
+        corpus = [EntityReviewSet("e0", reviews)]
+        # Four common-task pairs, all of one entity: the top 3 are kept and
+        # then dropped for lack of a cross-entity counterpart.
+        result = build_synthetic(corpus, "common", n=2, k=3)
+        assert result.pairs == []
+        assert result.k_truncated
+
     def test_k_one_keeps_global_max(self):
         corpus = self.fixture_corpus(random.Random(7), n_entities=3, n_reviews=8)
         all_pairs = build_synthetic(corpus, "contrastive", n=2, k=1000).pairs

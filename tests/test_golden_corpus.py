@@ -15,8 +15,6 @@ import json
 import os
 import random
 
-import pytest
-
 from cosum.cli import main
 
 from test_golden import GOLDEN_DIR
@@ -25,13 +23,26 @@ SHARED = ["the", "staff", "room", "was", "clean", "and", "quiet", "breakfast", "
 ENTITIES = {
     # Review token lengths: 15..50 are common-task summaries, 100..150
     # contrastive-task summaries, and 50..150 the inputs of both.
-    "alpha_lodge": (["fireplace", "ski", "lift", "alpine"], [25, 35, 45, 60, 75, 90, 120, 135]),
-    "beta_hostel": (["bunk", "locker", "backpackers", "kitchen"], [22, 33, 48, 55, 80, 95, 110, 140]),
-    "gamma_resort": (["lagoon", "spa", "cabana", "snorkel"], [28, 40, 50, 65, 85, 100, 125, 150]),
+    "alpha_lodge": (
+        ["fireplace", "ski", "lift", "alpine"],
+        [25, 35, 45, 60, 75, 90, 120, 135],
+    ),
+    "beta_hostel": (
+        ["bunk", "locker", "backpackers", "kitchen"],
+        [22, 33, 48, 55, 80, 95, 110, 140],
+    ),
+    "gamma_resort": (
+        ["lagoon", "spa", "cabana", "snorkel"],
+        [28, 40, 50, 65, 85, 100, 125, 150],
+    ),
     # Two candidates at most: every one of its summaries is skipped at n=3.
     "delta_motel": (["parking", "highway", "vending"], [30, 70, 110]),
 }
-PAIRS = [("alpha_lodge", "beta_hostel"), ("beta_hostel", "gamma_resort"), ("alpha_lodge", "gamma_resort")]
+PAIRS = [
+    ("alpha_lodge", "beta_hostel"),
+    ("beta_hostel", "gamma_resort"),
+    ("alpha_lodge", "gamma_resort"),
+]
 SYNTHETIC = {task: f"synthetic_{task}.jsonl" for task in ("contrastive", "common")}
 EVALUATION = "evaluation.json"
 
@@ -83,7 +94,8 @@ def write_inputs(workdir):
         json.dump(generated, fh)
     with open(os.path.join(workdir, "references.jsonl"), "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(r) + "\n" for r in references)
-    return {name: os.path.join(workdir, name) for name in ("reviews.jsonl", "generated.json", "references.jsonl")}
+    names = ("reviews.jsonl", "generated.json", "references.jsonl")
+    return {name: os.path.join(workdir, name) for name in names}
 
 
 def run(inputs, outdir):
@@ -118,7 +130,8 @@ def test_corpus_covers_pairs_skips_and_no_counterpart_drops():
 
     for name in SYNTHETIC.values():
         assert load(name).strip(), name
-        reasons = [s["reason"] for s in json.loads(load(name + ".skips.json"))["skipped"]]
+        skips = json.loads(load(name + ".skips.json"))["skipped"]
+        reasons = [s["reason"] for s in skips]
         assert reasons and all("eligible candidates" in r for r in reasons), name
     assert len(json.loads(load(EVALUATION))["pairs"]) == len(PAIRS)
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cosum.data import EntityReviewSet, Review
-from cosum.lm import CacheInterpolatedLM, load_model, save_model, train_ngram
+from cosum.lm import load_model, save_model, train_model, train_ngram
 from cosum.vocab import EOS_ID, Vocabulary
 
 
@@ -64,9 +64,8 @@ def test_next_dist_normalized_over_random_contexts():
 
 
 def build_cache_lm(texts, order=2, lam=0.7):
-    v, corpus = make_vocab_and_corpus(texts)
-    background = train_ngram(corpus, order=order, eps=1e-4, vocabulary=v)
-    return v, CacheInterpolatedLM(background, cache_order=order, lam=lam)
+    lm = train_model(texts, order=order, lam=lam, eps=1e-4)
+    return lm.vocabulary, lm
 
 
 def test_lambda_zero_matches_background_exactly():
