@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from typing import Dict, List, Protocol, Sequence, Tuple, Union
 
 from .data import EntityReviewSet
