@@ -6,9 +6,12 @@ to alter an output rewrites them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in CHANGES.md.
+and says why in CHANGES.md. The `cosum train` model file is pinned by its
+SHA-256 for each n-gram order in `MODEL_SHA256`; a change that is meant to
+alter it updates those digests by hand and says why.
 """
 
+import hashlib
 import os
 
 import pytest
@@ -27,13 +30,20 @@ SHORT = [
 ]
 SWEEP = ["--delta-grid", "0,1", "--gamma-grid", "0,0.5"]
 SWEEP_POINTS = ("d0_g0", "d0_g0.5", "d1_g0", "d1_g0.5")
+# SHA-256 of model.json from `cosum train --order N` on the sample corpus.
+MODEL_SHA256 = {
+    1: "6f050fb83b984e741cd7859d59ff7a6f5e55f62d312ac19a39a64f457ee21824",
+    2: "a4e14ed70ad4bcf24991f5b5206813db6e321bebc5ad70854922a80e4bda481c",
+    3: "946bdadcdafe78c1663c93a71a651bb81c5479e75c242d640cba444491f87a6d",
+    4: "af9f2f28b91f72121455282727b516f82eafb8e70ded67e2f9a14ff953d152c4",
+}
 
 
-def train(workdir):
+def train(workdir, *flags):
     corpus = os.path.join(workdir, "reviews.jsonl")
     model = os.path.join(workdir, "model.json")
     write_sample_corpus(corpus)
-    assert main(["train", "--reviews", corpus, "--out", model]) == 0
+    assert main(["train", "--reviews", corpus, "--out", model, *flags]) == 0
     return corpus, model
 
 
@@ -64,6 +74,13 @@ def test_summaries_match_golden(trained, tmp_path, name, extra, written):
         with open(os.path.join(GOLDEN_DIR, produced), "rb") as fh:
             expected = fh.read()
         assert (tmp_path / produced).read_bytes() == expected, produced
+
+
+@pytest.mark.parametrize("order", sorted(MODEL_SHA256))
+def test_model_file_matches_pinned_digest(tmp_path, order):
+    _, model = train(str(tmp_path), "--order", str(order))
+    with open(model, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == MODEL_SHA256[order]
 
 
 def record(workdir):
