@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .data import EntityReviewSet, Review, build_synthetic, load_reviews
 from .decoding import (
     DecodeConfig,
-    SummarizerModels,
     SummaryTriple,
     aggregate_common,
     aggregate_common_poe,
@@ -26,7 +25,6 @@ from .metrics import (
     rouge_l,
     rouge_multi,
     rouge_n,
-    token_bag,
 )
 from .vocab import Vocabulary, tokenize_text
 
@@ -37,7 +35,6 @@ __all__ = [
     "NGramLM",
     "Review",
     "RougeScore",
-    "SummarizerModels",
     "SummaryTriple",
     "TokenDist",
     "Vocabulary",
@@ -59,7 +56,6 @@ __all__ = [
     "save_model",
     "summarize_pair",
     "symmetric_common_dist",
-    "token_bag",
     "tokenize_text",
     "top_p_truncate",
     "train_ngram",

@@ -10,6 +10,7 @@ import os
 import sys
 import tempfile
 import time
+from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__
@@ -17,7 +18,6 @@ from .data import build_synthetic, load_reviews
 from .decoding import (
     CONFIG_TYPES,
     DecodeConfig,
-    SummarizerModels,
     load_decode_config,
     summarize_pair,
 )
@@ -27,9 +27,8 @@ from .metrics import (
     intra_pair_score,
     novel_ngram_rate,
     rouge_multi,
-    token_bag,
-    tokens_of,
 )
+from .vocab import tokenize_text
 
 
 class CliError(Exception):
@@ -164,7 +163,6 @@ def cmd_summarize(args: argparse.Namespace) -> int:
                 raise CliError(f"unknown entity id: {entity_id}")
         pairs.append((parts[0], parts[1]))
     cfg = _effective_config(args)
-    models = SummarizerModels(contrastive=lm, common=lm)
 
     delta_grid = [cfg.delta] if args.delta_grid is None else _parse_grid(args.delta_grid)
     gamma_grid = [cfg.gamma] if args.gamma_grid is None else _parse_grid(args.gamma_grid)
@@ -175,7 +173,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         for gamma in gamma_grid:
             point_cfg = dataclasses.replace(cfg, delta=delta, gamma=gamma)
             records = [
-                summarize_pair(models, corpus[a], corpus[b], point_cfg).to_record()
+                summarize_pair(lm, corpus[a], corpus[b], point_cfg).to_record()
                 for a, b in pairs
             ]
             if sweep:
@@ -264,17 +262,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for pair_id in sorted(generated):
         gen = generated[pair_id]
         ref = references[pair_id]
-        tokens = {side: tokens_of(gen[side]) for side in SIDES}
+        tokens = {side: tokenize_text(gen[side]) for side in SIDES}
         entry: Dict[str, object] = {}
         for side in SIDES:
-            refs = [tokens_of(text) for text in ref[side]]
+            refs = [tokenize_text(text) for text in ref[side]]
             entry[side] = {
                 "rouge1": rouge_multi(tokens[side], refs, 1).to_record(),
                 "rouge2": rouge_multi(tokens[side], refs, 2).to_record(),
                 "rougeL": rouge_multi(tokens[side], refs, None).to_record(),
             }
         entry["distinctiveness"] = distinctiveness(
-            *(token_bag(tokens[side]) for side in SIDES)
+            *(Counter(tokens[side]) for side in SIDES)
         )
         intra1, intra2, intral = intra_pair_score(
             tokens["contrastive_a"], tokens["contrastive_b"]
@@ -291,8 +289,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                     raise CliError(f"unknown entity id: {entity_id}")
             # No token spans a joining space, so the common side's source
             # is the two entity sources concatenated.
-            source_a = tokens_of(" ".join(corpus[entity_a].texts))
-            source_b = tokens_of(" ".join(corpus[entity_b].texts))
+            source_a = tokenize_text(" ".join(corpus[entity_a].texts))
+            source_b = tokenize_text(" ".join(corpus[entity_b].texts))
             entry["novelty"] = {
                 "contrastive_a": _novel_rates(tokens["contrastive_a"], source_a),
                 "contrastive_b": _novel_rates(tokens["contrastive_b"], source_b),

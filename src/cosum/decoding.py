@@ -20,6 +20,9 @@ from .vocab import EOS_ID, UNK_ID
 
 StepFn = Callable[[Tuple[int, ...]], TokenDist]
 
+# Least counterpart probability a ratio divides by, so it stays finite.
+RATIO_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class DecodeConfig:
@@ -34,7 +37,6 @@ class DecodeConfig:
     min_len: int = 10
     length_penalty: float = 1.0
     mode: str = "contrastive_poe"
-    ratio_floor: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.delta < 0 or self.gamma < 0 or self.length_penalty < 0:
@@ -47,8 +49,6 @@ class DecodeConfig:
             raise ValueError("need 1 <= min_len <= max_len")
         if self.mode not in ALL_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.ratio_floor <= 0:
-            raise ValueError("ratio_floor must be > 0")
 
 
 # f.type is a string under `from __future__ import annotations`.
@@ -63,13 +63,20 @@ def load_decode_config(path: str) -> DecodeConfig:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path} line {lineno}"
             if "=" not in line:
-                raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
+                raise ValueError(f"{where}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_TYPES:
-                raise ValueError(f"line {lineno}: unknown config key {key!r}")
-            overrides[key] = CONFIG_TYPES[key](value)
-    return DecodeConfig(**overrides)
+                raise ValueError(f"{where}: unknown config key {key!r}")
+            try:
+                overrides[key] = CONFIG_TYPES[key](value)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {key}: {exc}") from exc
+    try:
+        return DecodeConfig(**overrides)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _ratio_aggregate(
@@ -77,7 +84,6 @@ def _ratio_aggregate(
     p_counter: TokenDist,
     delta: float,
     top_p: float,
-    ratio_floor: float,
     combine: Callable[[float, float], float],
 ) -> TokenDist:
     """combine(target(t), target(t) / counter(t)) over the target nucleus.
@@ -94,46 +100,34 @@ def _ratio_aggregate(
     for t, pt in candidates.entries.items():
         c = counter_nucleus.entries.get(t)
         if c is None:
-            c = max(p_counter.get(t), ratio_floor)
+            c = max(p_counter.get(t), RATIO_FLOOR)
         scores[t] = combine(pt, pt / c)
     return TokenDist.from_weights(scores)
 
 
 def aggregate_contrastive(
-    p_target: TokenDist,
-    p_counter: TokenDist,
-    delta: float,
-    top_p: float,
-    ratio_floor: float,
+    p_target: TokenDist, p_counter: TokenDist, delta: float, top_p: float
 ) -> TokenDist:
     """target(t) * (target(t) / counter(t))^delta over the target nucleus."""
     return _ratio_aggregate(
-        p_target, p_counter, delta, top_p, ratio_floor, lambda pt, r: pt * r**delta
+        p_target, p_counter, delta, top_p, lambda pt, r: pt * r**delta
     )
 
 
 def aggregate_contrastive_moe(
-    p_target: TokenDist,
-    p_counter: TokenDist,
-    delta: float,
-    top_p: float,
-    ratio_floor: float,
+    p_target: TokenDist, p_counter: TokenDist, delta: float, top_p: float
 ) -> TokenDist:
     """Additive ablation: target(t) + delta * target(t)/counter(t)."""
     return _ratio_aggregate(
-        p_target, p_counter, delta, top_p, ratio_floor, lambda pt, r: pt + delta * r
+        p_target, p_counter, delta, top_p, lambda pt, r: pt + delta * r
     )
 
 
 def aggregate_contrastive_vs_common(
-    p_target: TokenDist,
-    p_comm: TokenDist,
-    delta: float,
-    top_p: float,
-    ratio_floor: float,
+    p_target: TokenDist, p_comm: TokenDist, delta: float, top_p: float
 ) -> TokenDist:
     """Ratio against the common-model distribution instead of the counterpart."""
-    return aggregate_contrastive(p_target, p_comm, delta, top_p, ratio_floor)
+    return aggregate_contrastive(p_target, p_comm, delta, top_p)
 
 
 def aggregate_common(
@@ -153,12 +147,7 @@ def aggregate_common(
 
 
 def aggregate_common_poe(
-    p_comm: TokenDist,
-    p_a: TokenDist,
-    p_b: TokenDist,
-    gamma: float,
-    top_p: float,
-    ratio_floor: float,
+    p_comm: TokenDist, p_a: TokenDist, p_b: TokenDist, gamma: float, top_p: float
 ) -> TokenDist:
     """Multiplicative ablation: comm(t) * (a(t) * b(t))^gamma on comm's nucleus."""
     comm = top_p_truncate(p_comm, top_p)
@@ -166,24 +155,24 @@ def aggregate_common_poe(
         return comm
     scores = {
         t: pc
-        * (max(p_a.get(t), ratio_floor) * max(p_b.get(t), ratio_floor)) ** gamma
+        * (max(p_a.get(t), RATIO_FLOOR) * max(p_b.get(t), RATIO_FLOOR)) ** gamma
         for t, pc in comm.entries.items()
     }
     return TokenDist.from_weights(scores)
 
 
 def symmetric_common_dist(
-    lm_comm: ConditionalLM,
+    lm: ConditionalLM,
     prefix: Tuple[int, ...],
     reviews_a: EntityReviewSet,
     reviews_b: EntityReviewSet,
 ) -> TokenDist:
-    """The common model conditioned on both sets.
+    """The model conditioned on both sets.
 
     One call suffices: ConditionalLM makes two-set conditions
     order-invariant.
     """
-    return lm_comm.next_dist(prefix, (reviews_a, reviews_b))
+    return lm.next_dist(prefix, (reviews_a, reviews_b))
 
 
 @dataclass(frozen=True)
@@ -226,7 +215,10 @@ def beam_decode(step_fn: StepFn, cfg: DecodeConfig, max_len: int) -> Tuple[int, 
                 dist = dist.without(EOS_ID)
             dist = dist.without(UNK_ID)
             if not dist.entries:
-                raise ValueError("empty step distribution")
+                raise ValueError(
+                    "empty step distribution: all its mass is on masked"
+                    " tokens (<unk>, or EOS before min_len)"
+                )
             for t, p in dist.sorted_items():
                 pool.append(
                     Hypothesis(
@@ -256,62 +248,54 @@ class SummaryTriple:
         }
 
 
-@dataclass
-class SummarizerModels:
-    """The two conditional models collaborative decoding draws from."""
-
-    contrastive: ConditionalLM
-    common: ConditionalLM
+def _entity_dists(lm, prefix, *review_sets):
+    return [lm.next_dist(prefix, r) for r in review_sets]
 
 
-def _entity_dists(models, prefix, *review_sets):
-    return [models.contrastive.next_dist(prefix, r) for r in review_sets]
+def _contrastive_base(lm, prefix, x, y, cfg):
+    return top_p_truncate(lm.next_dist(prefix, x), cfg.top_p)
 
 
-def _contrastive_base(models, prefix, x, y, cfg):
-    return top_p_truncate(models.contrastive.next_dist(prefix, x), cfg.top_p)
+def _contrastive_poe(lm, prefix, x, y, cfg):
+    p_x, p_y = _entity_dists(lm, prefix, x, y)
+    return aggregate_contrastive(p_x, p_y, cfg.delta, cfg.top_p)
 
 
-def _contrastive_poe(models, prefix, x, y, cfg):
-    p_x, p_y = _entity_dists(models, prefix, x, y)
-    return aggregate_contrastive(p_x, p_y, cfg.delta, cfg.top_p, cfg.ratio_floor)
+def _contrastive_moe(lm, prefix, x, y, cfg):
+    p_x, p_y = _entity_dists(lm, prefix, x, y)
+    return aggregate_contrastive_moe(p_x, p_y, cfg.delta, cfg.top_p)
 
 
-def _contrastive_moe(models, prefix, x, y, cfg):
-    p_x, p_y = _entity_dists(models, prefix, x, y)
-    return aggregate_contrastive_moe(p_x, p_y, cfg.delta, cfg.top_p, cfg.ratio_floor)
+def _contrastive_vs_common(lm, prefix, x, y, cfg):
+    p_x = lm.next_dist(prefix, x)
+    p_comm = symmetric_common_dist(lm, prefix, x, y)
+    return aggregate_contrastive_vs_common(p_x, p_comm, cfg.delta, cfg.top_p)
 
 
-def _contrastive_vs_common(models, prefix, x, y, cfg):
-    p_x = models.contrastive.next_dist(prefix, x)
-    p_comm = symmetric_common_dist(models.common, prefix, x, y)
-    return aggregate_contrastive_vs_common(
-        p_x, p_comm, cfg.delta, cfg.top_p, cfg.ratio_floor
-    )
+def _common_base(lm, prefix, x, y, cfg):
+    return top_p_truncate(symmetric_common_dist(lm, prefix, x, y), cfg.top_p)
 
 
-def _common_base(models, prefix, x, y, cfg):
-    return top_p_truncate(symmetric_common_dist(models.common, prefix, x, y), cfg.top_p)
-
-
-def _common_moe(models, prefix, x, y, cfg):
-    p_comm = symmetric_common_dist(models.common, prefix, x, y)
-    p_x, p_y = _entity_dists(models, prefix, x, y)
+def _common_moe(lm, prefix, x, y, cfg):
+    p_comm = symmetric_common_dist(lm, prefix, x, y)
+    p_x, p_y = _entity_dists(lm, prefix, x, y)
     return aggregate_common(p_comm, p_x, p_y, cfg.gamma, cfg.top_p)
 
 
-def _common_poe(models, prefix, x, y, cfg):
-    p_comm = symmetric_common_dist(models.common, prefix, x, y)
-    p_x, p_y = _entity_dists(models, prefix, x, y)
-    return aggregate_common_poe(p_comm, p_x, p_y, cfg.gamma, cfg.top_p, cfg.ratio_floor)
+def _common_poe(lm, prefix, x, y, cfg):
+    p_comm = symmetric_common_dist(lm, prefix, x, y)
+    p_x, p_y = _entity_dists(lm, prefix, x, y)
+    return aggregate_common_poe(p_comm, p_x, p_y, cfg.gamma, cfg.top_p)
 
 
-# mode -> (contrastive-side step, common-side step). A step maps (models,
+# mode -> (contrastive-side step, common-side step). A step maps (lm,
 # prefix, x, y, cfg) to one step distribution, where x, y is the target and
-# counterpart, or the pair for the common side. A mode that ablates one
-# side decodes the other with the paper's aggregator (PoE contrastive, MoE
-# common), so common_moe decodes exactly as contrastive_poe does. Steps look
-# up aggregators as module globals at call time, so wrappers see every call.
+# counterpart, or the pair for the common side. One conditional LM serves
+# every side: conditioned on one set it is that entity's model, on both the
+# common model. A mode that ablates one side decodes the other with the
+# paper's aggregator (PoE contrastive, MoE common), so common_moe decodes
+# exactly as contrastive_poe does. Steps look up aggregators as module
+# globals at call time, so wrappers see every call.
 DECODE_MODES = {
     "contrastive_poe": (_contrastive_poe, _common_moe),
     "contrastive_moe_ablation": (_contrastive_moe, _common_moe),
@@ -324,24 +308,32 @@ ALL_MODES = tuple(DECODE_MODES)
 
 
 def summarize_pair(
-    models: SummarizerModels,
+    lm: ConditionalLM,
     reviews_a: EntityReviewSet,
     reviews_b: EntityReviewSet,
     cfg: DecodeConfig,
 ) -> SummaryTriple:
-    """Decode the two contrastive summaries and the common summary."""
-    contrastive_side, common_side = DECODE_MODES[cfg.mode]
+    """Decode the two contrastive summaries and the common summary.
 
-    def decode(side, x, y, max_len: int) -> str:
-        tokens = beam_decode(
-            lambda prefix: side(models, prefix, x, y, cfg), cfg, max_len
-        )
-        return models.contrastive.vocabulary.decode(tokens)
+    A side that cannot be decoded raises ValueError naming the pair and
+    the side.
+    """
+    contrastive_side, common_side = DECODE_MODES[cfg.mode]
+    pair_id = f"{reviews_a.entity_id}|{reviews_b.entity_id}"
+
+    def decode(name: str, side, x, y, max_len: int) -> str:
+        try:
+            tokens = beam_decode(
+                lambda prefix: side(lm, prefix, x, y, cfg), cfg, max_len
+            )
+        except ValueError as exc:
+            raise ValueError(f"pair {pair_id}, {name}: {exc}") from exc
+        return lm.vocabulary.decode(tokens)
 
     max_len = cfg.max_len_contrastive
     return SummaryTriple(
-        pair_id=f"{reviews_a.entity_id}|{reviews_b.entity_id}",
-        contrastive_a=decode(contrastive_side, reviews_a, reviews_b, max_len),
-        contrastive_b=decode(contrastive_side, reviews_b, reviews_a, max_len),
-        common=decode(common_side, reviews_a, reviews_b, cfg.max_len_common),
+        pair_id,
+        decode("contrastive_a", contrastive_side, reviews_a, reviews_b, max_len),
+        decode("contrastive_b", contrastive_side, reviews_b, reviews_a, max_len),
+        decode("common", common_side, reviews_a, reviews_b, cfg.max_len_common),
     )

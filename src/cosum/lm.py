@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Dict, List, Protocol, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, Union
 
 from .data import EntityReviewSet
 from .dists import TokenDist
@@ -18,6 +18,23 @@ from .vocab import BOS_ID, EOS_ID, Vocabulary
 
 Prefix = Tuple[int, ...]
 Condition = Union[EntityReviewSet, Tuple[EntityReviewSet, EntityReviewSet]]
+Counts = Dict[Prefix, Counter]
+
+
+def _context(prefix: Sequence[int], ctx_len: int) -> Prefix:
+    """The last ctx_len tokens of prefix, left-padded with BOS."""
+    return ((BOS_ID,) * ctx_len + tuple(prefix))[len(prefix) :]
+
+
+def count_ngrams(sequences: Iterable[Sequence[int]], order: int) -> Counts:
+    """Next-token counts per length-(order-1) context; sequences end with EOS."""
+    counts: Counts = {}
+    ctx_len = order - 1
+    for seq in sequences:
+        padded = (*_context((), ctx_len), *seq, EOS_ID)
+        for i in range(ctx_len, len(padded)):
+            counts.setdefault(padded[i - ctx_len : i], Counter())[padded[i]] += 1
+    return counts
 
 
 class ConditionalLM(Protocol):
@@ -49,24 +66,10 @@ class NGramLM:
         self.order = order
         self.vocabulary = vocabulary
         self.eps = eps
-        self.counts: Dict[Prefix, Counter] = {}
-
-    def observe(self, sequence: Sequence[int]) -> None:
-        padded = (BOS_ID,) * (self.order - 1) + tuple(sequence) + (EOS_ID,)
-        ctx_len = self.order - 1
-        for i in range(ctx_len, len(padded)):
-            ctx = padded[i - ctx_len : i]
-            self.counts.setdefault(ctx, Counter())[padded[i]] += 1
-
-    def _context_of(self, prefix: Sequence[int]) -> Prefix:
-        ctx_len = self.order - 1
-        if ctx_len == 0:
-            return ()
-        padded = (BOS_ID,) * ctx_len + tuple(prefix)
-        return padded[-ctx_len:]
+        self.counts: Counts = {}
 
     def next_dist(self, prefix: Sequence[int]) -> TokenDist:
-        ctx_counts = self.counts.get(self._context_of(prefix), Counter())
+        ctx_counts = self.counts.get(_context(prefix, self.order - 1), Counter())
         support = self.vocabulary.prediction_ids()
         denom = sum(ctx_counts.values()) + self.eps * len(support)
         return TokenDist(
@@ -81,8 +84,7 @@ def train_ngram(
     if not corpus:
         raise ValueError("empty training corpus")
     lm = NGramLM(order=order, vocabulary=vocabulary, eps=eps)
-    for seq in corpus:
-        lm.observe(seq)
+    lm.counts = count_ngrams(corpus, order)
     return lm
 
 
@@ -96,22 +98,12 @@ class _CacheModel:
     def __init__(self, sequences: Sequence[Sequence[int]], order: int) -> None:
         self.order = order
         # counts[k] maps length-(k-1) contexts to next-token counters.
-        self.counts: List[Dict[Prefix, Counter]] = [
-            {} for _ in range(order + 1)
-        ]
-        for seq in sequences:
-            padded = (BOS_ID,) * (order - 1) + tuple(seq) + (EOS_ID,)
-            start = order - 1
-            for i in range(start, len(padded)):
-                for k in range(1, order + 1):
-                    ctx = padded[i - k + 1 : i]
-                    self.counts[k].setdefault(ctx, Counter())[padded[i]] += 1
+        self.counts = {k: count_ngrams(sequences, k) for k in range(1, order + 1)}
 
     def next_dist(self, prefix: Sequence[int]) -> TokenDist:
-        padded = (BOS_ID,) * (self.order - 1) + tuple(prefix)
+        ctx = _context(prefix, self.order - 1)
         for k in range(self.order, 0, -1):
-            ctx = padded[len(padded) - k + 1 :] if k > 1 else ()
-            ctx_counts = self.counts[k].get(tuple(ctx))
+            ctx_counts = self.counts[k].get(ctx[self.order - k :])
             if ctx_counts:
                 total = sum(ctx_counts.values())
                 return TokenDist(
@@ -215,7 +207,39 @@ def save_model(lm: CacheInterpolatedLM, path: str) -> None:
         fh.write("\n")
 
 
+_COUNT_ENTRY = "[context ids, [[token id, count], ...]]"
+
+
+def _count_entry(entry: object) -> Optional[Tuple[Prefix, Counter]]:
+    """(context, counts) from a _COUNT_ENTRY, or None if it is not one."""
+    try:
+        ctx, items = entry
+        ctx, counter = tuple(ctx), Counter(dict(items))
+    except (TypeError, ValueError):
+        return None
+    types = {*map(type, ctx), *map(type, counter), *map(type, counter.values())}
+    return (ctx, counter) if types <= {int} else None
+
+
+_INT = ("an integer", lambda v: type(v) is int)
+_NUMBER = ("a number", lambda v: type(v) in (int, float))
+# Model file key -> (what its value must be, check). JSON loads exact
+# types, so `type(v) is int` keeps true and false out of the integers.
+_MODEL_FIELDS = {
+    "vocabulary": (
+        "a list of strings",
+        lambda v: type(v) is list and all(type(t) is str for t in v),
+    ),
+    "order": _INT,
+    "eps": _NUMBER,
+    "lambda": _NUMBER,
+    "cache_order": _INT,
+    "counts": ("a list", lambda v: type(v) is list),
+}
+
+
 def load_model(path: str) -> CacheInterpolatedLM:
+    """Read a save_model file; every malformed value is a ValueError naming path."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -226,17 +250,20 @@ def load_model(path: str) -> CacheInterpolatedLM:
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format version {version!r}")
-    for key in ("vocabulary", "order", "eps", "lambda", "cache_order", "counts"):
+    for key, (kind, valid) in _MODEL_FIELDS.items():
         if key not in payload:
             raise ValueError(f"{path}: missing key {key!r}")
+        if not valid(payload[key]):
+            raise ValueError(f"{path}: {key!r} must be {kind}")
     vocabulary = Vocabulary(payload["vocabulary"])
-    background = NGramLM(
-        order=payload["order"], vocabulary=vocabulary, eps=payload["eps"]
-    )
-    for ctx, items in payload["counts"]:
-        background.counts[tuple(ctx)] = Counter({t: c for t, c in items})
-    return CacheInterpolatedLM(
-        background=background,
-        cache_order=payload["cache_order"],
-        lam=payload["lambda"],
-    )
+    try:
+        background = NGramLM(payload["order"], vocabulary, payload["eps"])
+        lm = CacheInterpolatedLM(background, payload["cache_order"], payload["lambda"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    for index, entry in enumerate(payload["counts"], start=1):
+        parsed = _count_entry(entry)
+        if parsed is None:
+            raise ValueError(f"{path}: 'counts' entry {index} must be {_COUNT_ENTRY}")
+        background.counts[parsed[0]] = parsed[1]
+    return lm

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-from .vocab import tokenize_text
+from typing import Sequence, Tuple
 
 Tokens = Sequence[str]
 
@@ -29,24 +27,15 @@ class RougeScore:
         return {"precision": self.precision, "recall": self.recall, "f1": self.f1}
 
 
-def token_bag(tokens: Tokens) -> Counter:
-    return Counter(tokens)
-
-
-def distinctiveness(
-    bag_a: Counter, bag_b: Counter, bag_c: Counter, multiset: bool = True
-) -> float:
+def distinctiveness(bag_a: Counter, bag_b: Counter, bag_c: Counter) -> float:
     """1 - normalized overlap between the three summaries' token bags.
 
     Pairwise and triple intersections use min multiplicity, the union max
-    multiplicity; multiset=False collapses every bag to a set first.
+    multiplicity.
     """
-    bags = [bag_a, bag_b, bag_c]
-    if any(not bag for bag in bags):
+    a, b, c = bag_a, bag_b, bag_c
+    if not (a and b and c):
         raise ValueError("empty summary")
-    if not multiset:
-        bags = [Counter(set(bag)) for bag in bags]
-    a, b, c = bags
     pairwise = (
         sum((a & b).values()) + sum((a & c).values()) + sum((b & c).values())
     )
@@ -137,8 +126,3 @@ def novel_ngram_rate(summary: Tokens, input_tokens: Tokens, n: int) -> float:
     input_grams = set(_ngrams(input_tokens, n))
     novel = sum(1 for g in summary_grams if g not in input_grams)
     return novel / len(summary_grams)
-
-
-def tokens_of(text: str) -> List[str]:
-    """Metric-side tokenization; shared with the language model."""
-    return tokenize_text(text)

@@ -3,7 +3,6 @@ import os
 import hypothesis
 import pytest
 
-from cosum.decoding import SummarizerModels
 from cosum.lm import train_model
 from cosum.sample_corpus import build_sample_corpus
 
@@ -25,8 +24,3 @@ def corpus_by_entity(sample_corpus):
 def trained_lm(sample_corpus):
     texts = [r.text for es in sample_corpus for r in es.reviews]
     return train_model(texts, order=3, lam=0.7, eps=1e-4)
-
-
-@pytest.fixture(scope="session")
-def summarizer(trained_lm):
-    return SummarizerModels(contrastive=trained_lm, common=trained_lm)

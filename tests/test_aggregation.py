@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cosum.decoding import (
+    RATIO_FLOOR,
     aggregate_common,
     aggregate_common_poe,
     aggregate_contrastive,
@@ -14,8 +15,6 @@ from cosum.decoding import (
     symmetric_common_dist,
 )
 from cosum.dists import TokenDist, top_p_truncate
-
-FLOOR = 1e-12
 
 
 def dist(entries):
@@ -30,20 +29,20 @@ def random_dist(rng, support):
 class TestContrastive:
     def test_identical_inputs_are_fixed_point(self):
         d = dist({1: 0.6, 2: 0.4})
-        out = aggregate_contrastive(d, d, delta=1.0, top_p=1.0, ratio_floor=FLOOR)
+        out = aggregate_contrastive(d, d, delta=1.0, top_p=1.0)
         assert out.get(1) == pytest.approx(0.6)
         assert out.get(2) == pytest.approx(0.4)
 
     def test_delta_zero_is_nucleus_of_target(self):
         target = dist({1: 0.5, 2: 0.3, 3: 0.15, 4: 0.05})
         counter = dist({1: 0.9, 2: 0.1})
-        out = aggregate_contrastive(target, counter, 0.0, 0.9, FLOOR)
+        out = aggregate_contrastive(target, counter, 0.0, 0.9)
         assert out.entries == top_p_truncate(target, 0.9).entries
 
     def test_hand_example(self):
         target = dist({1: 0.5, 2: 0.5})
         counter = dist({1: 0.8, 2: 0.2})
-        out = aggregate_contrastive(target, counter, 1.0, 1.0, FLOOR)
+        out = aggregate_contrastive(target, counter, 1.0, 1.0)
         # scores: 0.5 * 0.625 = 0.3125 and 0.5 * 2.5 = 1.25
         assert out.get(1) == pytest.approx(0.2)
         assert out.get(2) == pytest.approx(0.8)
@@ -51,7 +50,7 @@ class TestContrastive:
     def test_counter_outside_nucleus_uses_raw_value(self):
         target = dist({1: 0.5, 2: 0.5})
         counter = dist({1: 0.95, 2: 0.05})
-        out = aggregate_contrastive(target, counter, 1.0, 0.9, FLOOR)
+        out = aggregate_contrastive(target, counter, 1.0, 0.9)
         # counter nucleus at 0.9 is {1}; token 2 falls back to raw 0.05.
         expected = {1: 0.5 * (0.5 / (0.95 / 0.95)), 2: 0.5 * (0.5 / 0.05)}
         total = sum(expected.values())
@@ -60,7 +59,7 @@ class TestContrastive:
     def test_absent_counter_token_floored(self):
         target = dist({1: 0.5, 2: 0.5})
         counter = dist({1: 1.0})
-        out = aggregate_contrastive(target, counter, 1.0, 1.0, FLOOR)
+        out = aggregate_contrastive(target, counter, 1.0, 1.0)
         assert out.get(2) > 0.999999
 
 
@@ -68,39 +67,39 @@ class TestContrastiveMoe:
     def test_delta_zero_is_nucleus_of_target(self):
         target = dist({1: 0.7, 2: 0.3})
         counter = dist({1: 0.5, 2: 0.5})
-        out = aggregate_contrastive_moe(target, counter, 0.0, 0.9, FLOOR)
+        out = aggregate_contrastive_moe(target, counter, 0.0, 0.9)
         assert out.entries == top_p_truncate(target, 0.9).entries
 
     def test_identical_inputs_near_uniform(self):
         d = dist({1: 0.6, 2: 0.4})
-        out = aggregate_contrastive_moe(d, d, 1.0, 1.0, FLOOR)
+        out = aggregate_contrastive_moe(d, d, 1.0, 1.0)
         # score(t) = p + 1, so masses are (1.6, 1.4) / 3.
         assert out.get(1) == pytest.approx(1.6 / 3.0)
         assert out.get(2) == pytest.approx(1.4 / 3.0)
 
     def test_distribution_collapse_on_tiny_counter(self):
         target = dist({1: 0.5, 2: 0.5})
-        counter = dist({1: 1.0 - FLOOR, 2: FLOOR})
-        out = aggregate_contrastive_moe(target, counter, 1.0, 1.0, FLOOR)
+        counter = dist({1: 1.0 - RATIO_FLOOR, 2: RATIO_FLOOR})
+        out = aggregate_contrastive_moe(target, counter, 1.0, 1.0)
         assert out.get(2) > 0.99
 
 
 class TestContrastiveVsCommon:
     def test_delta_zero_is_nucleus_of_target(self):
         target = dist({1: 0.6, 2: 0.4})
-        out = aggregate_contrastive_vs_common(target, dist({1: 1.0}), 0.0, 1.0, FLOOR)
+        out = aggregate_contrastive_vs_common(target, dist({1: 1.0}), 0.0, 1.0)
         assert out.entries == target.entries
 
     def test_equal_common_reduces_to_target(self):
         d = dist({1: 0.6, 2: 0.4})
-        out = aggregate_contrastive_vs_common(d, d, 1.0, 1.0, FLOOR)
+        out = aggregate_contrastive_vs_common(d, d, 1.0, 1.0)
         assert out.get(1) == pytest.approx(0.6)
         assert out.get(2) == pytest.approx(0.4)
 
     def test_hand_example(self):
         target = dist({1: 0.5, 2: 0.5})
         comm = dist({1: 0.8, 2: 0.2})
-        out = aggregate_contrastive_vs_common(target, comm, 1.0, 1.0, FLOOR)
+        out = aggregate_contrastive_vs_common(target, comm, 1.0, 1.0)
         assert out.get(1) == pytest.approx(0.2)
         assert out.get(2) == pytest.approx(0.8)
 
@@ -143,20 +142,20 @@ class TestCommon:
 class TestCommonPoe:
     def test_gamma_zero_is_nucleus_of_comm(self):
         comm = dist({1: 0.6, 2: 0.4})
-        out = aggregate_common_poe(comm, dist({9: 1.0}), dist({9: 1.0}), 0.0, 1.0, FLOOR)
+        out = aggregate_common_poe(comm, dist({9: 1.0}), dist({9: 1.0}), 0.0, 1.0)
         assert out.entries == comm.entries
 
     def test_uniform_experts_proportional_to_comm(self):
         comm = dist({1: 0.7, 2: 0.3})
         expert = dist({1: 0.5, 2: 0.5})
-        out = aggregate_common_poe(comm, expert, expert, 1.0, 1.0, FLOOR)
+        out = aggregate_common_poe(comm, expert, expert, 1.0, 1.0)
         assert out.get(1) == pytest.approx(0.7)
         assert out.get(2) == pytest.approx(0.3)
 
     def test_hand_product(self):
         comm = dist({1: 0.5, 2: 0.5})
         expert = dist({1: 0.9, 2: 0.1})
-        out = aggregate_common_poe(comm, expert, expert, 1.0, 1.0, FLOOR)
+        out = aggregate_common_poe(comm, expert, expert, 1.0, 1.0)
         assert out.get(1) == pytest.approx(0.81 / 0.82)
         assert out.get(2) == pytest.approx(0.01 / 0.82)
 
@@ -173,7 +172,7 @@ class TestLogOddsSlope:
             u, v = rng.sample(tokens, 2)
             log_odds = []
             for delta in deltas:
-                out = aggregate_contrastive(target, counter, delta, 1.0, FLOOR)
+                out = aggregate_contrastive(target, counter, delta, 1.0)
                 log_odds.append(math.log(out.get(u)) - math.log(out.get(v)))
             ratio_u = target.get(u) / counter.get(u)
             ratio_v = target.get(v) / counter.get(v)
@@ -225,6 +224,6 @@ class TestSymmetricCommonDist:
 def test_contrastive_output_normalized_within_candidates(wt, wc, delta, top_p):
     target = TokenDist.from_weights(wt)
     counter = TokenDist.from_weights(wc)
-    out = aggregate_contrastive(target, counter, delta, top_p, FLOOR)
+    out = aggregate_contrastive(target, counter, delta, top_p)
     assert out.is_normalized()
     assert set(out.support) <= set(top_p_truncate(target, top_p).support)

@@ -21,6 +21,35 @@ def model_path(tmp_path_factory, corpus_path):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def unseen_corpus_path(tmp_path_factory, corpus_path):
+    """The sample corpus plus entity zz_unseen, whose words the model never saw."""
+    path = tmp_path_factory.mktemp("unseen") / "reviews.jsonl"
+    unseen = "".join(
+        json.dumps({"entity_id": "zz_unseen", "review_id": f"u{i}", "text": text}) + "\n"
+        for i, text in enumerate(["qwxv blorp snizzle fremp"] * 3)
+    )
+    with open(corpus_path) as fh:
+        path.write_text(fh.read() + unseen)
+    return str(path)
+
+
+# A valid model file's payload; bad-input cases change one key.
+MODEL = {
+    "format_version": 1,
+    "vocabulary": ["ok"],
+    "order": 1,
+    "eps": 0.1,
+    "lambda": 0.5,
+    "cache_order": 1,
+    "counts": [[[], [[1, 1], [3, 1]]]],
+}
+
+
+def model(**changes):
+    return json.dumps(dict(MODEL, **changes))
+
+
 SUMMARIZE_FAST = ["--min-len", "3", "--max-len-contrastive", "25", "--max-len-common", "15"]
 
 
@@ -212,14 +241,7 @@ class TestSummarize:
         assert ab["contrastive_b"] == ba["contrastive_a"]
         assert ab["common"] == ba["common"]
 
-    def test_unseen_words_never_emit_unk(self, model_path, corpus_path, tmp_path):
-        reviews = tmp_path / "reviews.jsonl"
-        unseen = "".join(
-            json.dumps({"entity_id": "zz_unseen", "review_id": f"u{i}", "text": text}) + "\n"
-            for i, text in enumerate(["qwxv blorp snizzle fremp"] * 3)
-        )
-        with open(corpus_path) as fh:
-            reviews.write_text(fh.read() + unseen)
+    def test_unseen_words_never_emit_unk(self, model_path, unseen_corpus_path, tmp_path):
         out = tmp_path / "unseen.json"
         code = main(
             [
@@ -227,7 +249,7 @@ class TestSummarize:
                 "--model",
                 model_path,
                 "--reviews",
-                str(reviews),
+                unseen_corpus_path,
                 "--pair",
                 "airport_express,zz_unseen",
                 "--out",
@@ -262,23 +284,76 @@ class TestSummarize:
         assert code == 1
         assert "atlantis" in capsys.readouterr().err
 
+    def test_unk_only_nucleus_names_pair_and_side(
+        self, model_path, unseen_corpus_path, tmp_path, capsys
+    ):
+        out = tmp_path / "unseen.json"
+        code = main(
+            [
+                "summarize",
+                "--model",
+                model_path,
+                "--reviews",
+                unseen_corpus_path,
+                "--pair",
+                "airport_express,zz_unseen",
+                "--out",
+                str(out),
+                "--top-p",
+                "0.5",
+                *SUMMARIZE_FAST,
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(
+            "error: pair airport_express|zz_unseen, contrastive_b: empty step distribution"
+        )
+        assert "<unk>" in err
+        assert not out.exists()
+
     REVIEW = '{"entity_id": "x", "review_id": "1", "text": "ok"}\n'
 
     @pytest.mark.parametrize(
-        "flags,model_text,reviews_text,named",
+        "flags,model_text,reviews_text,config_text,named",
         [
-            (["--delta-grid", ","], None, None, "error: empty grid: ','"),
-            (["--gamma-grid", " "], None, None, "error: empty grid: ' '"),
-            ([], "not json", None, "bad_model.json: Expecting value: line 1"),
-            ([], "[]", None, "bad_model.json: expected a JSON object"),
-            ([], '{"format_version": 1}', None, "bad_model.json: missing key 'voc"),
-            ([], None, REVIEW + "7\n", "bad.jsonl line 2: expected a JSON object"),
+            (["--delta-grid", ","], None, None, None, "error: empty grid: ','"),
+            (["--gamma-grid", " "], None, None, None, "error: empty grid: ' '"),
+            ([], "not json", None, None, "bad_model.json: Expecting value: line 1"),
+            ([], "[]", None, None, "bad_model.json: expected a JSON object"),
+            ([], '{"format_version": 1}', None, None, "bad_model.json: missing key 'voc"),
+            ([], None, REVIEW + "7\n", None, "bad.jsonl line 2: expected a JSON object"),
             (
                 [],
                 None,
                 REVIEW + '{"entity_id": "x", "review_id": "2", "text": 3}\n',
+                None,
                 "bad.jsonl line 2: 'text' must be a string",
             ),
+            (
+                [],
+                None,
+                None,
+                "delta = abc\n",
+                "bad.cfg line 1: delta: could not convert string to float: 'abc'",
+            ),
+            ([], None, None, "# comment\n\nbeam_width = 2.5\n", "bad.cfg line 3: beam_width: invalid"),
+            ([], None, None, "gamma = 0\njust words\n", "bad.cfg line 2: expected key=value"),
+            ([], None, None, "temperature = 1\n", "bad.cfg line 1: unknown config key 'temp"),
+            ([], None, None, "top_p = 2\n", "bad.cfg: top_p must be in (0, 1]"),
+            ([], model(order="x"), None, None, "bad_model.json: 'order' must be an integer"),
+            ([], model(order=True), None, None, "bad_model.json: 'order' must be an integer"),
+            ([], model(cache_order=1.0), None, None, "bad_model.json: 'cache_order' must be"),
+            ([], model(eps="1"), None, None, "bad_model.json: 'eps' must be a number"),
+            ([], model(**{"lambda": None}), None, None, "bad_model.json: 'lambda' must be a"),
+            ([], model(vocabulary=[1, 2]), None, None, "bad_model.json: 'vocabulary' must be"),
+            ([], model(counts={}), None, None, "bad_model.json: 'counts' must be a list"),
+            ([], model(counts=[[1]]), None, None, "bad_model.json: 'counts' entry 1 must be"),
+            ([], model(counts=[[[], [[1]]]]), None, None, "bad_model.json: 'counts' entry 1"),
+            ([], model(counts=[[[], [["ok", 1]]]]), None, None, "bad_model.json: 'counts' entry 1"),
+            ([], model(**{"lambda": 2}), None, None, "bad_model.json: interpolation weight"),
+            ([], model(order=0), None, None, "bad_model.json: order must be >= 1"),
         ],
         ids=[
             "empty-delta-grid",
@@ -288,11 +363,28 @@ class TestSummarize:
             "model-no-vocabulary",
             "review-not-object",
             "review-text-not-string",
+            "config-value-not-float",
+            "config-value-not-int",
+            "config-line-not-key-value",
+            "config-unknown-key",
+            "config-value-out-of-range",
+            "model-order-not-int",
+            "model-order-bool",
+            "model-cache-order-float",
+            "model-eps-not-number",
+            "model-lambda-null",
+            "model-vocabulary-not-strings",
+            "model-counts-not-list",
+            "model-counts-entry-short",
+            "model-counts-item-not-pair",
+            "model-counts-item-not-ints",
+            "model-lambda-out-of-range",
+            "model-order-out-of-range",
         ],
     )
     def test_bad_input_is_one_error_line(
         self, model_path, corpus_path, tmp_path, capsys,
-        flags, model_text, reviews_text, named,
+        flags, model_text, reviews_text, config_text, named,
     ):
         if model_text is not None:
             model_path = tmp_path / "bad_model.json"
@@ -300,6 +392,10 @@ class TestSummarize:
         if reviews_text is not None:
             corpus_path = tmp_path / "bad.jsonl"
             corpus_path.write_text(reviews_text)
+        if config_text is not None:
+            config = tmp_path / "bad.cfg"
+            config.write_text(config_text)
+            flags = flags + ["--config", str(config)]
         out = tmp_path / "out.json"
         assert self.run_summarize(str(model_path), str(corpus_path), out, flags) == 1
         err = capsys.readouterr().err

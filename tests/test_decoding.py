@@ -16,7 +16,6 @@ class TestDecodeConfig:
         assert cfg.max_len_common == 50
         assert cfg.min_len == 10
         assert cfg.length_penalty == 1.0
-        assert cfg.ratio_floor == 1e-12
 
     @pytest.mark.parametrize(
         "bad",
@@ -29,7 +28,6 @@ class TestDecodeConfig:
             {"min_len": 0},
             {"min_len": 60, "max_len_common": 50},
             {"mode": "nope"},
-            {"ratio_floor": 0.0},
         ],
     )
     def test_invalid_rejected(self, bad):
@@ -50,7 +48,6 @@ class TestConfigFile:
             "min_len = 4\n"
             "length_penalty = 0.5\n"
             "mode = common_moe\n"
-            "ratio_floor = 1e-10\n"
         )
         cfg = load_decode_config(str(path))
         assert cfg == DecodeConfig(
@@ -63,7 +60,6 @@ class TestConfigFile:
             min_len=4,
             length_penalty=0.5,
             mode="common_moe",
-            ratio_floor=1e-10,
         )
 
     def test_missing_keys_fall_back_to_defaults(self, tmp_path):
@@ -87,35 +83,35 @@ class TestConfigFile:
 
 
 class TestSummarizePair:
-    def test_identical_entities_without_codecoding(self, summarizer, corpus_by_entity):
+    def test_identical_entities_without_codecoding(self, trained_lm, corpus_by_entity):
         cfg = DecodeConfig(delta=0.0, gamma=0.0, **FAST)
         es = corpus_by_entity["harbor_hotel"]
-        triple = summarize_pair(summarizer, es, es, cfg)
+        triple = summarize_pair(trained_lm, es, es, cfg)
         assert triple.contrastive_a == triple.contrastive_b
 
-    def test_pair_order_equivariance(self, summarizer, corpus_by_entity):
+    def test_pair_order_equivariance(self, trained_lm, corpus_by_entity):
         cfg = DecodeConfig(**FAST)
         ra = corpus_by_entity["summit_lodge"]
         rb = corpus_by_entity["lakeside_resort"]
-        fwd = summarize_pair(summarizer, ra, rb, cfg)
-        rev = summarize_pair(summarizer, rb, ra, cfg)
+        fwd = summarize_pair(trained_lm, ra, rb, cfg)
+        rev = summarize_pair(trained_lm, rb, ra, cfg)
         assert fwd.contrastive_a == rev.contrastive_b
         assert fwd.contrastive_b == rev.contrastive_a
         assert fwd.common == rev.common
 
-    def test_deterministic(self, summarizer, corpus_by_entity):
+    def test_deterministic(self, trained_lm, corpus_by_entity):
         cfg = DecodeConfig(**FAST)
         ra = corpus_by_entity["harbor_hotel"]
         rb = corpus_by_entity["garden_inn"]
-        assert summarize_pair(summarizer, ra, rb, cfg) == summarize_pair(
-            summarizer, ra, rb, cfg
+        assert summarize_pair(trained_lm, ra, rb, cfg) == summarize_pair(
+            trained_lm, ra, rb, cfg
         )
 
-    def test_all_fields_non_empty(self, summarizer, corpus_by_entity):
+    def test_all_fields_non_empty(self, trained_lm, corpus_by_entity):
         cfg = DecodeConfig(**FAST)
         ra = corpus_by_entity["vineyard_estate"]
         rb = corpus_by_entity["desert_oasis"]
-        triple = summarize_pair(summarizer, ra, rb, cfg)
+        triple = summarize_pair(trained_lm, ra, rb, cfg)
         assert triple.contrastive_a
         assert triple.contrastive_b
         assert triple.common
@@ -131,21 +127,21 @@ class TestSummarizePair:
             "base",
         ],
     )
-    def test_all_modes_decode(self, summarizer, corpus_by_entity, mode):
+    def test_all_modes_decode(self, trained_lm, corpus_by_entity, mode):
         cfg = DecodeConfig(mode=mode, **FAST)
         ra = corpus_by_entity["old_town_suites"]
         rb = corpus_by_entity["airport_express"]
-        triple = summarize_pair(summarizer, ra, rb, cfg)
+        triple = summarize_pair(trained_lm, ra, rb, cfg)
         assert triple.contrastive_a and triple.contrastive_b and triple.common
 
-    def test_base_mode_matches_zero_tradeoffs(self, summarizer, corpus_by_entity):
+    def test_base_mode_matches_zero_tradeoffs(self, trained_lm, corpus_by_entity):
         ra = corpus_by_entity["harbor_hotel"]
         rb = corpus_by_entity["garden_inn"]
         base = summarize_pair(
-            summarizer, ra, rb, DecodeConfig(mode="base", **FAST)
+            trained_lm, ra, rb, DecodeConfig(mode="base", **FAST)
         )
         zeros = summarize_pair(
-            summarizer, ra, rb, DecodeConfig(delta=0.0, gamma=0.0, **FAST)
+            trained_lm, ra, rb, DecodeConfig(delta=0.0, gamma=0.0, **FAST)
         )
         assert base.contrastive_a == zeros.contrastive_a
         assert base.contrastive_b == zeros.contrastive_b

@@ -11,7 +11,6 @@ from cosum.metrics import (
     rouge_l,
     rouge_multi,
     rouge_n,
-    token_bag,
 )
 
 
@@ -52,12 +51,6 @@ class TestDistinctiveness:
         c = Counter({"y": 1})
         # pairwise = 1, triple = 0, union = |{x,x,y}| = 3
         assert distinctiveness(a, b, c) == pytest.approx(1.0 - 1.0 / 3.0)
-
-    def test_set_semantics_flag(self):
-        a = Counter({"x": 5})
-        b = Counter({"x": 3})
-        c = Counter({"y": 2})
-        assert distinctiveness(a, b, c, multiset=False) == pytest.approx(0.5)
 
     def test_empty_bag_rejected(self):
         with pytest.raises(ValueError, match="empty summary"):
@@ -204,6 +197,3 @@ class TestNovelNgrams:
         with pytest.raises(ValueError, match="summary too short"):
             novel_ngram_rate("a".split(), "a b".split(), 2)
 
-
-def test_token_bag_counts():
-    assert token_bag("a b a".split()) == Counter({"a": 2, "b": 1})
