@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 from .data import EntityReviewSet, Review, build_synthetic, load_reviews
 from .decoding import (
     DecodeConfig,
+    PairConditions,
     SummaryTriple,
     aggregate_common,
     aggregate_common_poe,
@@ -12,6 +13,7 @@ from .decoding import (
     aggregate_contrastive_moe,
     aggregate_contrastive_vs_common,
     beam_decode,
+    condition_pair,
     summarize_pair,
     symmetric_common_dist,
 )
@@ -33,6 +35,7 @@ __all__ = [
     "DecodeConfig",
     "EntityReviewSet",
     "NGramLM",
+    "PairConditions",
     "Review",
     "RougeScore",
     "SummaryTriple",
@@ -45,6 +48,7 @@ __all__ = [
     "aggregate_contrastive_vs_common",
     "beam_decode",
     "build_synthetic",
+    "condition_pair",
     "distinctiveness",
     "intra_pair_score",
     "load_model",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -18,6 +19,7 @@ from .data import build_synthetic, load_reviews
 from .decoding import (
     CONFIG_TYPES,
     DecodeConfig,
+    condition_pair,
     load_decode_config,
     summarize_pair,
 )
@@ -166,30 +168,29 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 
     delta_grid = [cfg.delta] if args.delta_grid is None else _parse_grid(args.delta_grid)
     gamma_grid = [cfg.gamma] if args.gamma_grid is None else _parse_grid(args.gamma_grid)
+    # Every grid point is checked before anything is decoded or written.
+    grid = itertools.product(delta_grid, gamma_grid)
+    points = [dataclasses.replace(cfg, delta=d, gamma=g) for d, g in grid]
     sweep = args.delta_grid is not None or args.gamma_grid is not None
     fingerprint = _sha256(args.model)
+    conditions = [condition_pair(lm, corpus[a], corpus[b]) for a, b in pairs]
 
-    for delta in delta_grid:
-        for gamma in gamma_grid:
-            point_cfg = dataclasses.replace(cfg, delta=delta, gamma=gamma)
-            records = [
-                summarize_pair(lm, corpus[a], corpus[b], point_cfg).to_record()
-                for a, b in pairs
-            ]
-            if sweep:
-                stem, ext = os.path.splitext(args.out)
-                out_path = f"{stem}.d{delta:g}_g{gamma:g}{ext or '.json'}"
-            else:
-                out_path = args.out
-            _atomic_write_text(out_path, _dump_json(records))
-            _write_manifest(
-                out_path,
-                "summarize",
-                dataclasses.asdict(point_cfg),
-                inputs=[args.model, args.reviews],
-                outputs=[out_path],
-                model_fingerprint=fingerprint,
-            )
+    for point in points:
+        records = [summarize_pair(lm, pair, point).to_record() for pair in conditions]
+        if sweep:
+            stem, ext = os.path.splitext(args.out)
+            out_path = f"{stem}.d{point.delta:g}_g{point.gamma:g}{ext or '.json'}"
+        else:
+            out_path = args.out
+        _atomic_write_text(out_path, _dump_json(records))
+        _write_manifest(
+            out_path,
+            "summarize",
+            dataclasses.asdict(point),
+            inputs=[args.model, args.reviews],
+            outputs=[out_path],
+            model_fingerprint=fingerprint,
+        )
     return 0
 
 
@@ -259,43 +260,47 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         corpus = {es.entity_id: es for es in load_reviews(args.reviews)}
 
     per_pair = {}
-    for pair_id in sorted(generated):
-        gen = generated[pair_id]
+    for pair_id, gen in sorted(generated.items()):
         ref = references[pair_id]
-        tokens = {side: tokenize_text(gen[side]) for side in SIDES}
-        entry: Dict[str, object] = {}
-        for side in SIDES:
-            refs = [tokenize_text(text) for text in ref[side]]
-            entry[side] = {
-                "rouge1": rouge_multi(tokens[side], refs, 1).to_record(),
-                "rouge2": rouge_multi(tokens[side], refs, 2).to_record(),
-                "rougeL": rouge_multi(tokens[side], refs, None).to_record(),
+        try:
+            tokens = {side: tokenize_text(gen[side]) for side in SIDES}
+            entry: Dict[str, object] = {}
+            for side in SIDES:
+                refs = [tokenize_text(text) for text in ref[side]]
+                entry[side] = {
+                    "rouge1": rouge_multi(tokens[side], refs, 1).to_record(),
+                    "rouge2": rouge_multi(tokens[side], refs, 2).to_record(),
+                    "rougeL": rouge_multi(tokens[side], refs, None).to_record(),
+                }
+            entry["distinctiveness"] = distinctiveness(
+                *(Counter(tokens[side]) for side in SIDES)
+            )
+            intra1, intra2, intral = intra_pair_score(
+                tokens["contrastive_a"], tokens["contrastive_b"]
+            )
+            entry["intra_rouge"] = {
+                "rouge1": intra1.f1,
+                "rouge2": intra2.f1,
+                "rougeL": intral.f1,
             }
-        entry["distinctiveness"] = distinctiveness(
-            *(Counter(tokens[side]) for side in SIDES)
-        )
-        intra1, intra2, intral = intra_pair_score(
-            tokens["contrastive_a"], tokens["contrastive_b"]
-        )
-        entry["intra_rouge"] = {
-            "rouge1": intra1.f1,
-            "rouge2": intra2.f1,
-            "rougeL": intral.f1,
-        }
-        if corpus is not None:
-            entity_a, entity_b = pair_id.split("|", 1)
-            for entity_id in (entity_a, entity_b):
-                if entity_id not in corpus:
-                    raise CliError(f"unknown entity id: {entity_id}")
-            # No token spans a joining space, so the common side's source
-            # is the two entity sources concatenated.
-            source_a = tokenize_text(" ".join(corpus[entity_a].texts))
-            source_b = tokenize_text(" ".join(corpus[entity_b].texts))
-            entry["novelty"] = {
-                "contrastive_a": _novel_rates(tokens["contrastive_a"], source_a),
-                "contrastive_b": _novel_rates(tokens["contrastive_b"], source_b),
-                "common": _novel_rates(tokens["common"], source_a + source_b),
-            }
+            if corpus is not None:
+                if "|" not in pair_id:
+                    raise CliError("pair_id must be 'A|B' to look up --reviews")
+                entity_a, entity_b = pair_id.split("|", 1)
+                for entity_id in (entity_a, entity_b):
+                    if entity_id not in corpus:
+                        raise CliError(f"unknown entity id: {entity_id}")
+                # No token spans a joining space, so the common side's source
+                # is the two entity sources concatenated.
+                source_a = tokenize_text(" ".join(corpus[entity_a].texts))
+                source_b = tokenize_text(" ".join(corpus[entity_b].texts))
+                entry["novelty"] = {
+                    "contrastive_a": _novel_rates(tokens["contrastive_a"], source_a),
+                    "contrastive_b": _novel_rates(tokens["contrastive_b"], source_b),
+                    "common": _novel_rates(tokens["common"], source_a + source_b),
+                }
+        except (CliError, ValueError) as exc:
+            raise CliError(f"{args.generated}: pair {pair_id}: {exc}") from exc
         per_pair[pair_id] = entry
 
     means: Dict[str, object] = {

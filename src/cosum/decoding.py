@@ -15,7 +15,7 @@ from typing import Callable, Dict, Tuple
 
 from .data import EntityReviewSet
 from .dists import TokenDist, top_p_truncate
-from .lm import ConditionalLM
+from .lm import CacheInterpolatedLM, CacheModel
 from .vocab import EOS_ID, UNK_ID
 
 StepFn = Callable[[Tuple[int, ...]], TokenDist]
@@ -39,8 +39,9 @@ class DecodeConfig:
     mode: str = "contrastive_poe"
 
     def __post_init__(self) -> None:
-        if self.delta < 0 or self.gamma < 0 or self.length_penalty < 0:
-            raise ValueError("delta, gamma and length_penalty must be >= 0")
+        tradeoffs = (self.delta, self.gamma, self.length_penalty)
+        if not all(0 <= v < math.inf for v in tradeoffs):
+            raise ValueError("delta, gamma and length_penalty must be finite and >= 0")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must be in (0, 1]")
         if self.beam_width < 1:
@@ -162,17 +163,30 @@ def aggregate_common_poe(
 
 
 def symmetric_common_dist(
-    lm: ConditionalLM,
-    prefix: Tuple[int, ...],
-    reviews_a: EntityReviewSet,
-    reviews_b: EntityReviewSet,
+    lm: CacheInterpolatedLM, prefix: Tuple[int, ...], both: CacheModel
 ) -> TokenDist:
-    """The model conditioned on both sets.
+    """The model conditioned on both sets, pooled (order-invariant)."""
+    return lm.next_dist(prefix, both)
 
-    One call suffices: ConditionalLM makes two-set conditions
-    order-invariant.
-    """
-    return lm.next_dist(prefix, (reviews_a, reviews_b))
+
+@dataclass(frozen=True)
+class PairConditions:
+    """One pair's conditions: entity a's reviews, b's, and both pooled."""
+
+    pair_id: str
+    a: CacheModel
+    b: CacheModel
+    both: CacheModel
+
+
+def condition_pair(
+    lm: CacheInterpolatedLM, reviews_a: EntityReviewSet, reviews_b: EntityReviewSet
+) -> PairConditions:
+    """Build the pair's three conditions once; every decode of it reuses them."""
+    pair_id = f"{reviews_a.entity_id}|{reviews_b.entity_id}"
+    a, b = reviews_a.texts, reviews_b.texts
+    both = lm.condition(a + b)
+    return PairConditions(pair_id, lm.condition(a), lm.condition(b), both)
 
 
 @dataclass(frozen=True)
@@ -248,54 +262,51 @@ class SummaryTriple:
         }
 
 
-def _entity_dists(lm, prefix, *review_sets):
-    return [lm.next_dist(prefix, r) for r in review_sets]
-
-
-def _contrastive_base(lm, prefix, x, y, cfg):
+def _contrastive_base(lm, prefix, x, y, both, cfg):
     return top_p_truncate(lm.next_dist(prefix, x), cfg.top_p)
 
 
-def _contrastive_poe(lm, prefix, x, y, cfg):
-    p_x, p_y = _entity_dists(lm, prefix, x, y)
+def _contrastive_poe(lm, prefix, x, y, both, cfg):
+    p_x, p_y = lm.next_dist(prefix, x), lm.next_dist(prefix, y)
     return aggregate_contrastive(p_x, p_y, cfg.delta, cfg.top_p)
 
 
-def _contrastive_moe(lm, prefix, x, y, cfg):
-    p_x, p_y = _entity_dists(lm, prefix, x, y)
+def _contrastive_moe(lm, prefix, x, y, both, cfg):
+    p_x, p_y = lm.next_dist(prefix, x), lm.next_dist(prefix, y)
     return aggregate_contrastive_moe(p_x, p_y, cfg.delta, cfg.top_p)
 
 
-def _contrastive_vs_common(lm, prefix, x, y, cfg):
+def _contrastive_vs_common(lm, prefix, x, y, both, cfg):
     p_x = lm.next_dist(prefix, x)
-    p_comm = symmetric_common_dist(lm, prefix, x, y)
+    p_comm = symmetric_common_dist(lm, prefix, both)
     return aggregate_contrastive_vs_common(p_x, p_comm, cfg.delta, cfg.top_p)
 
 
-def _common_base(lm, prefix, x, y, cfg):
-    return top_p_truncate(symmetric_common_dist(lm, prefix, x, y), cfg.top_p)
+def _common_base(lm, prefix, x, y, both, cfg):
+    return top_p_truncate(symmetric_common_dist(lm, prefix, both), cfg.top_p)
 
 
-def _common_moe(lm, prefix, x, y, cfg):
-    p_comm = symmetric_common_dist(lm, prefix, x, y)
-    p_x, p_y = _entity_dists(lm, prefix, x, y)
+def _common_moe(lm, prefix, x, y, both, cfg):
+    p_comm = symmetric_common_dist(lm, prefix, both)
+    p_x, p_y = lm.next_dist(prefix, x), lm.next_dist(prefix, y)
     return aggregate_common(p_comm, p_x, p_y, cfg.gamma, cfg.top_p)
 
 
-def _common_poe(lm, prefix, x, y, cfg):
-    p_comm = symmetric_common_dist(lm, prefix, x, y)
-    p_x, p_y = _entity_dists(lm, prefix, x, y)
+def _common_poe(lm, prefix, x, y, both, cfg):
+    p_comm = symmetric_common_dist(lm, prefix, both)
+    p_x, p_y = lm.next_dist(prefix, x), lm.next_dist(prefix, y)
     return aggregate_common_poe(p_comm, p_x, p_y, cfg.gamma, cfg.top_p)
 
 
 # mode -> (contrastive-side step, common-side step). A step maps (lm,
-# prefix, x, y, cfg) to one step distribution, where x, y is the target and
-# counterpart, or the pair for the common side. One conditional LM serves
-# every side: conditioned on one set it is that entity's model, on both the
-# common model. A mode that ablates one side decodes the other with the
-# paper's aggregator (PoE contrastive, MoE common), so common_moe decodes
-# exactly as contrastive_poe does. Steps look up aggregators as module
-# globals at call time, so wrappers see every call.
+# prefix, x, y, both, cfg) to one step distribution, where x, y condition
+# on the target and the counterpart (on a and b for the common side) and
+# both on the two pooled. One conditional LM serves every side:
+# conditioned on one set it is that entity's model, on both the common
+# model. A mode that ablates one side decodes the other with the paper's
+# aggregator (PoE contrastive, MoE common), so common_moe decodes exactly
+# as contrastive_poe does. Steps look up aggregators as module globals at
+# call time, so wrappers see every call.
 DECODE_MODES = {
     "contrastive_poe": (_contrastive_poe, _common_moe),
     "contrastive_moe_ablation": (_contrastive_moe, _common_moe),
@@ -308,32 +319,28 @@ ALL_MODES = tuple(DECODE_MODES)
 
 
 def summarize_pair(
-    lm: ConditionalLM,
-    reviews_a: EntityReviewSet,
-    reviews_b: EntityReviewSet,
-    cfg: DecodeConfig,
+    lm: CacheInterpolatedLM, pair: PairConditions, cfg: DecodeConfig
 ) -> SummaryTriple:
     """Decode the two contrastive summaries and the common summary.
 
-    A side that cannot be decoded raises ValueError naming the pair and
-    the side.
+    `pair` comes from condition_pair on the same lm. A side that cannot be
+    decoded raises ValueError naming the pair and the side.
     """
     contrastive_side, common_side = DECODE_MODES[cfg.mode]
-    pair_id = f"{reviews_a.entity_id}|{reviews_b.entity_id}"
 
     def decode(name: str, side, x, y, max_len: int) -> str:
         try:
             tokens = beam_decode(
-                lambda prefix: side(lm, prefix, x, y, cfg), cfg, max_len
+                lambda prefix: side(lm, prefix, x, y, pair.both, cfg), cfg, max_len
             )
         except ValueError as exc:
-            raise ValueError(f"pair {pair_id}, {name}: {exc}") from exc
+            raise ValueError(f"pair {pair.pair_id}, {name}: {exc}") from exc
         return lm.vocabulary.decode(tokens)
 
     max_len = cfg.max_len_contrastive
     return SummaryTriple(
-        pair_id,
-        decode("contrastive_a", contrastive_side, reviews_a, reviews_b, max_len),
-        decode("contrastive_b", contrastive_side, reviews_b, reviews_a, max_len),
-        decode("common", common_side, reviews_a, reviews_b, cfg.max_len_common),
+        pair.pair_id,
+        decode("contrastive_a", contrastive_side, pair.a, pair.b, max_len),
+        decode("contrastive_b", contrastive_side, pair.b, pair.a, max_len),
+        decode("common", common_side, pair.a, pair.b, cfg.max_len_common),
     )

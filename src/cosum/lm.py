@@ -9,15 +9,14 @@ depend on which entity's reviews condition the step.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .data import EntityReviewSet
 from .dists import TokenDist
 from .vocab import BOS_ID, EOS_ID, Vocabulary
 
 Prefix = Tuple[int, ...]
-Condition = Union[EntityReviewSet, Tuple[EntityReviewSet, EntityReviewSet]]
 Counts = Dict[Prefix, Counter]
 
 
@@ -37,19 +36,6 @@ def count_ngrams(sequences: Iterable[Sequence[int]], order: int) -> Counts:
     return counts
 
 
-class ConditionalLM(Protocol):
-    """Deterministic (prefix, conditioning reviews) -> normalized TokenDist.
-
-    A two-set condition is order-invariant: ``next_dist(p, (a, b))`` and
-    ``next_dist(p, (b, a))`` return equal entries.
-    """
-
-    vocabulary: Vocabulary
-
-    def next_dist(self, prefix: Sequence[int], condition: Condition) -> TokenDist:
-        ...
-
-
 class NGramLM:
     """Add-epsilon smoothed n-gram model over a fixed vocabulary.
 
@@ -61,8 +47,8 @@ class NGramLM:
     def __init__(self, order: int, vocabulary: Vocabulary, eps: float) -> None:
         if order < 1:
             raise ValueError("order must be >= 1")
-        if eps <= 0:
-            raise ValueError("smoothing mass must be > 0")
+        if not 0 < eps < math.inf:
+            raise ValueError("smoothing mass must be finite and > 0")
         self.order = order
         self.vocabulary = vocabulary
         self.eps = eps
@@ -88,14 +74,19 @@ def train_ngram(
     return lm
 
 
-class _CacheModel:
+class CacheModel:
     """Maximum-likelihood n-gram counts over the conditioning reviews.
 
     Unsmoothed, with backoff to shorter contexts, so the support never
-    leaves the conditioning text (plus EOS).
+    leaves the conditioning text (plus EOS). The counts are integers
+    pooled over all sequences, so their order does not matter:
+    ``lm.condition(a + b)`` and ``lm.condition(b + a)`` give bit-identical
+    distributions.
     """
 
     def __init__(self, sequences: Sequence[Sequence[int]], order: int) -> None:
+        if not sequences:
+            raise ValueError("empty conditioning set")
         self.order = order
         # counts[k] maps length-(k-1) contexts to next-token counters.
         self.counts = {k: count_ngrams(sequences, k) for k in range(1, order + 1)}
@@ -115,8 +106,8 @@ class _CacheModel:
 class CacheInterpolatedLM:
     """lambda * cache(prefix | reviews) + (1 - lambda) * background(prefix).
 
-    Two-set conditioning pools the cache counts of both review sets, so
-    the result is invariant to the order the sets are given in.
+    ``condition(texts)`` builds the cache model once; ``next_dist`` takes
+    it for every step conditioned on those texts.
     """
 
     def __init__(
@@ -129,43 +120,21 @@ class CacheInterpolatedLM:
         self.background = background
         self.cache_order = cache_order
         self.lam = lam
-        self._cache_memo: Dict[Tuple[str, ...], _CacheModel] = {}
 
     @property
     def vocabulary(self) -> Vocabulary:
         return self.background.vocabulary
 
-    def _condition_texts(self, condition: Condition) -> Tuple[str, ...]:
-        if isinstance(condition, EntityReviewSet):
-            sets = [condition]
-        else:
-            sets = list(condition)
-        texts: List[str] = []
-        for review_set in sets:
-            if not review_set.reviews:
-                raise ValueError("empty conditioning set")
-            texts.extend(review_set.texts)
-        if not texts:
-            raise ValueError("empty conditioning set")
-        # Sorted key makes pooled conditioning order-independent.
-        return tuple(sorted(texts))
+    def condition(self, texts: Sequence[str]) -> CacheModel:
+        """The cache model over texts (unknown words map to UNK)."""
+        sequences = [self.vocabulary.encode(text) for text in texts]
+        return CacheModel(sequences, self.cache_order)
 
-    def _cache_for(self, condition: Condition) -> _CacheModel:
-        key = self._condition_texts(condition)
-        cache = self._cache_memo.get(key)
-        if cache is None:
-            sequences = [
-                self.vocabulary.encode(text, extend=False) for text in key
-            ]
-            cache = _CacheModel(sequences, self.cache_order)
-            self._cache_memo[key] = cache
-        return cache
-
-    def next_dist(self, prefix: Sequence[int], condition: Condition) -> TokenDist:
+    def next_dist(self, prefix: Sequence[int], condition: CacheModel) -> TokenDist:
         background = self.background.next_dist(prefix)
         if self.lam == 0.0:
             return background
-        cache = self._cache_for(condition).next_dist(prefix)
+        cache = condition.next_dist(prefix)
         lam = self.lam
         combined = {
             t: lam * cache.get(t) + (1.0 - lam) * p
@@ -207,18 +176,31 @@ def save_model(lm: CacheInterpolatedLM, path: str) -> None:
         fh.write("\n")
 
 
-_COUNT_ENTRY = "[context ids, [[token id, count], ...]]"
+_COUNT_ENTRY = (
+    "[context ids, [[token id, count], ...]] with order - 1 context ids"
+    " in [0, |V|), token ids in [1, |V|) and counts >= 1"
+)
 
 
-def _count_entry(entry: object) -> Optional[Tuple[Prefix, Counter]]:
-    """(context, counts) from a _COUNT_ENTRY, or None if it is not one."""
+def _count_entry(
+    entry: object, ctx_len: int, ids: range
+) -> Optional[Tuple[Prefix, Counter]]:
+    """(context, counts) from a _COUNT_ENTRY over the token ids `ids`, or None."""
     try:
         ctx, items = entry
         ctx, counter = tuple(ctx), Counter(dict(items))
     except (TypeError, ValueError):
         return None
     types = {*map(type, ctx), *map(type, counter), *map(type, counter.values())}
-    return (ctx, counter) if types <= {int} else None
+    valid = (
+        types <= {int}
+        and len(ctx) == ctx_len
+        and all(map(ids.__contains__, ctx))
+        and all(map(ids.__contains__, counter))
+        and BOS_ID not in counter
+        and (not counter or min(counter.values()) >= 1)
+    )
+    return (ctx, counter) if valid else None
 
 
 _INT = ("an integer", lambda v: type(v) is int)
@@ -262,7 +244,7 @@ def load_model(path: str) -> CacheInterpolatedLM:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     for index, entry in enumerate(payload["counts"], start=1):
-        parsed = _count_entry(entry)
+        parsed = _count_entry(entry, background.order - 1, range(len(vocabulary)))
         if parsed is None:
             raise ValueError(f"{path}: 'counts' entry {index} must be {_COUNT_ENTRY}")
         background.counts[parsed[0]] = parsed[1]

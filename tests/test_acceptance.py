@@ -20,6 +20,7 @@ from cosum.decoding import (
     aggregate_contrastive_moe,
     aggregate_contrastive_vs_common,
     beam_decode,
+    condition_pair,
     summarize_pair,
     symmetric_common_dist,
 )
@@ -116,9 +117,11 @@ def test_criterion_3_beam_oracle():
 def test_criterion_4_symmetry_suite(trained_lm, corpus_by_entity):
     ra = corpus_by_entity["harbor_hotel"]
     rb = corpus_by_entity["garden_inn"]
+    pair_ab = condition_pair(trained_lm, ra, rb)
+    pair_ba = condition_pair(trained_lm, rb, ra)
     for prefix in [(), (trained_lm.vocabulary.lookup("the"),)]:
-        fwd = symmetric_common_dist(trained_lm, prefix, ra, rb)
-        rev = symmetric_common_dist(trained_lm, prefix, rb, ra)
+        fwd = symmetric_common_dist(trained_lm, prefix, pair_ab.both)
+        rev = symmetric_common_dist(trained_lm, prefix, pair_ba.both)
         assert fwd.entries == rev.entries
     rng = random.Random(404)
     for _ in range(30):
@@ -130,8 +133,8 @@ def test_criterion_4_symmetry_suite(trained_lm, corpus_by_entity):
             == aggregate_common(comm, b, a, 0.7, 0.9).entries
         )
     cfg = DecodeConfig(min_len=3, max_len_contrastive=25, max_len_common=15)
-    fwd = summarize_pair(trained_lm, ra, rb, cfg)
-    rev = summarize_pair(trained_lm, rb, ra, cfg)
+    fwd = summarize_pair(trained_lm, pair_ab, cfg)
+    rev = summarize_pair(trained_lm, pair_ba, cfg)
     assert fwd.common == rev.common
     assert fwd.contrastive_a == rev.contrastive_b
     report("4 symmetry under pair-order and expert swap")
@@ -183,13 +186,15 @@ def test_criterion_5_metric_oracles():
 
 def test_criterion_6_directional_codecoding(trained_lm, corpus_by_entity):
     start = time.monotonic()
+    pairs = [
+        condition_pair(trained_lm, corpus_by_entity[a], corpus_by_entity[b])
+        for a, b in SAMPLE_PAIRS
+    ]
 
     def run(cfg):
         ds_vals, intra_vals = [], []
-        for a, b in SAMPLE_PAIRS:
-            triple = summarize_pair(
-                trained_lm, corpus_by_entity[a], corpus_by_entity[b], cfg
-            )
+        for pair in pairs:
+            triple = summarize_pair(trained_lm, pair, cfg)
             ds_vals.append(
                 distinctiveness(
                     Counter(tokenize_text(triple.contrastive_a)),

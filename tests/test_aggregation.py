@@ -12,6 +12,7 @@ from cosum.decoding import (
     aggregate_contrastive,
     aggregate_contrastive_moe,
     aggregate_contrastive_vs_common,
+    condition_pair,
     symmetric_common_dist,
 )
 from cosum.dists import TokenDist, top_p_truncate
@@ -192,15 +193,19 @@ class TestSymmetricCommonDist:
         rb = corpus_by_entity[data.draw(st.sampled_from(entity_ids))]
         token_ids = st.integers(min_value=1, max_value=len(trained_lm.vocabulary) - 1)
         prefix = tuple(data.draw(st.lists(token_ids, max_size=5)))
-        ab = trained_lm.next_dist(prefix, (ra, rb))
-        assert ab.entries == trained_lm.next_dist(prefix, (rb, ra)).entries
-        assert symmetric_common_dist(trained_lm, prefix, ra, rb).entries == ab.entries
+        ab = trained_lm.next_dist(prefix, trained_lm.condition(ra.texts + rb.texts))
+        ba = trained_lm.next_dist(prefix, trained_lm.condition(rb.texts + ra.texts))
+        assert ab.entries == ba.entries
+        both = condition_pair(trained_lm, ra, rb).both
+        assert symmetric_common_dist(trained_lm, prefix, both).entries == ab.entries
 
     def test_order_insensitive_backend_unchanged(self, trained_lm, corpus_by_entity):
         ra = corpus_by_entity["harbor_hotel"]
         rb = corpus_by_entity["garden_inn"]
-        merged = symmetric_common_dist(trained_lm, (), ra, rb)
-        direct = trained_lm.next_dist((), (ra, rb))
+        merged = symmetric_common_dist(
+            trained_lm, (), condition_pair(trained_lm, ra, rb).both
+        )
+        direct = trained_lm.next_dist((), trained_lm.condition(ra.texts + rb.texts))
         for t in direct.support:
             assert merged.get(t) == pytest.approx(direct.get(t), abs=1e-12)
 

@@ -102,6 +102,14 @@ class TestTrain:
             main(argv + ["--cache-order", "2"])
         assert exc.value.code == 2
 
+    def test_non_finite_eps_is_one_error_line(self, corpus_path, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        argv = ["train", "--reviews", corpus_path, "--out", str(out), "--eps", "nan"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: smoothing mass must be finite and > 0\n"
+        assert not list(tmp_path.iterdir())
+
     def test_missing_corpus_fails(self, tmp_path, capsys):
         code = main(
             ["train", "--reviews", str(tmp_path / "none.jsonl"), "--out", "x.json"]
@@ -354,6 +362,59 @@ class TestSummarize:
             ([], model(counts=[[[], [["ok", 1]]]]), None, None, "bad_model.json: 'counts' entry 1"),
             ([], model(**{"lambda": 2}), None, None, "bad_model.json: interpolation weight"),
             ([], model(order=0), None, None, "bad_model.json: order must be >= 1"),
+            (
+                [],
+                model(counts=MODEL["counts"] + [[[0], [[1, 1]]]]),
+                None,
+                None,
+                "bad_model.json: 'counts' entry 2 must be [context ids, [[token id, count],"
+                " ...]] with order - 1 context ids in [0, |V|), token ids in [1, |V|) and"
+                " counts >= 1",
+            ),
+            (
+                [],
+                model(order=2, cache_order=2, counts=[[[0, 0, 0], [[1, 1]]]]),
+                None,
+                None,
+                "bad_model.json: 'counts' entry 1 must be",
+            ),
+            (
+                [],
+                model(order=2, cache_order=2, counts=[[[0], [[1, 1]]], [[4], [[1, 1]]]]),
+                None,
+                None,
+                "bad_model.json: 'counts' entry 2 must be",
+            ),
+            (
+                [],
+                model(order=2, cache_order=2, counts=[[[-1], [[1, 1]]]]),
+                None,
+                None,
+                "bad_model.json: 'counts' entry 1 must be",
+            ),
+            (
+                [],
+                model(counts=[[[], [[1, 1], [3, 1], [99, 5]]]]),
+                None,
+                None,
+                "bad_model.json: 'counts' entry 1 must be",
+            ),
+            ([], model(counts=[[[], [[0, 1]]]]), None, None, "bad_model.json: 'counts' entry 1"),
+            ([], model(counts=[[[], [[1, 0]]]]), None, None, "bad_model.json: 'counts' entry 1"),
+            (
+                [],
+                model(eps=float("nan")),
+                None,
+                None,
+                "bad_model.json: smoothing mass must be finite and > 0",
+            ),
+            (["--length-penalty", "nan"], None, None, None, "error: delta, gamma and length"),
+            (["--delta", "inf"], None, None, None, "must be finite and >= 0"),
+            (["--gamma", "nan"], None, None, None, "must be finite and >= 0"),
+            (["--delta-grid", "0,nan"], None, None, None, "must be finite and >= 0"),
+            (["--gamma-grid", "0.5,inf"], None, None, None, "must be finite and >= 0"),
+            ([], None, None, "delta = nan\n", "bad.cfg: delta, gamma and length_penalty must be"),
+            ([], None, None, "gamma = inf\n", "bad.cfg: delta, gamma and length_penalty must be"),
         ],
         ids=[
             "empty-delta-grid",
@@ -380,6 +441,21 @@ class TestSummarize:
             "model-counts-item-not-ints",
             "model-lambda-out-of-range",
             "model-order-out-of-range",
+            "model-context-too-long",
+            "model-context-too-long-order-2",
+            "model-context-id-too-large",
+            "model-context-id-negative",
+            "model-token-id-too-large",
+            "model-token-id-bos",
+            "model-count-zero",
+            "model-eps-nan",
+            "length-penalty-nan",
+            "delta-inf",
+            "gamma-nan",
+            "delta-grid-nan",
+            "gamma-grid-inf",
+            "config-delta-nan",
+            "config-gamma-inf",
         ],
     )
     def test_bad_input_is_one_error_line(
@@ -606,3 +682,41 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+
+    @pytest.mark.parametrize(
+        "changes,with_reviews,named",
+        [
+            (
+                {"pair_id": "harbor_hotel"},
+                True,
+                "pair harbor_hotel: pair_id must be 'A|B' to look up --reviews",
+            ),
+            (
+                {"pair_id": "harbor_hotel|atlantis"},
+                True,
+                "pair harbor_hotel|atlantis: unknown entity id: atlantis",
+            ),
+            (
+                {"common": ""},
+                False,
+                "pair harbor_hotel|garden_inn: empty summary",
+            ),
+        ],
+        ids=["pair-id-without-bar", "unknown-entity", "empty-side"],
+    )
+    def test_scoring_errors_name_file_and_pair(
+        self, tmp_path, capsys, corpus_path, changes, with_reviews, named
+    ):
+        gen_path, records = self.make_generated(tmp_path)
+        record = dict(records[0], **changes)
+        gen_path.write_text(json.dumps([record]))
+        reference = dict(self.REFERENCE, pair_id=record["pair_id"])
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text(json.dumps(reference) + "\n")
+        argv = ["evaluate", "--generated", str(gen_path), "--references", str(refs)]
+        argv += ["--out", str(tmp_path / "m.json")]
+        if with_reviews:
+            argv += ["--reviews", corpus_path]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {gen_path}: {named}\n"
+        assert not (tmp_path / "m.json").exists()

@@ -1,10 +1,22 @@
 import dataclasses
+import gc
+import itertools
+import tracemalloc
 
 import pytest
 
-from cosum.decoding import DecodeConfig, load_decode_config, summarize_pair
+from cosum.decoding import (
+    DecodeConfig,
+    condition_pair,
+    load_decode_config,
+    summarize_pair,
+)
 
 FAST = dict(min_len=3, max_len_contrastive=25, max_len_common=15)
+
+
+def summarize(lm, reviews_a, reviews_b, cfg):
+    return summarize_pair(lm, condition_pair(lm, reviews_a, reviews_b), cfg)
 
 
 class TestDecodeConfig:
@@ -28,6 +40,10 @@ class TestDecodeConfig:
             {"min_len": 0},
             {"min_len": 60, "max_len_common": 50},
             {"mode": "nope"},
+            {"delta": float("nan")},
+            {"delta": float("inf")},
+            {"gamma": float("inf")},
+            {"length_penalty": float("nan")},
         ],
     )
     def test_invalid_rejected(self, bad):
@@ -86,15 +102,15 @@ class TestSummarizePair:
     def test_identical_entities_without_codecoding(self, trained_lm, corpus_by_entity):
         cfg = DecodeConfig(delta=0.0, gamma=0.0, **FAST)
         es = corpus_by_entity["harbor_hotel"]
-        triple = summarize_pair(trained_lm, es, es, cfg)
+        triple = summarize(trained_lm, es, es, cfg)
         assert triple.contrastive_a == triple.contrastive_b
 
     def test_pair_order_equivariance(self, trained_lm, corpus_by_entity):
         cfg = DecodeConfig(**FAST)
         ra = corpus_by_entity["summit_lodge"]
         rb = corpus_by_entity["lakeside_resort"]
-        fwd = summarize_pair(trained_lm, ra, rb, cfg)
-        rev = summarize_pair(trained_lm, rb, ra, cfg)
+        fwd = summarize(trained_lm, ra, rb, cfg)
+        rev = summarize(trained_lm, rb, ra, cfg)
         assert fwd.contrastive_a == rev.contrastive_b
         assert fwd.contrastive_b == rev.contrastive_a
         assert fwd.common == rev.common
@@ -103,7 +119,7 @@ class TestSummarizePair:
         cfg = DecodeConfig(**FAST)
         ra = corpus_by_entity["harbor_hotel"]
         rb = corpus_by_entity["garden_inn"]
-        assert summarize_pair(trained_lm, ra, rb, cfg) == summarize_pair(
+        assert summarize(trained_lm, ra, rb, cfg) == summarize(
             trained_lm, ra, rb, cfg
         )
 
@@ -111,7 +127,7 @@ class TestSummarizePair:
         cfg = DecodeConfig(**FAST)
         ra = corpus_by_entity["vineyard_estate"]
         rb = corpus_by_entity["desert_oasis"]
-        triple = summarize_pair(trained_lm, ra, rb, cfg)
+        triple = summarize(trained_lm, ra, rb, cfg)
         assert triple.contrastive_a
         assert triple.contrastive_b
         assert triple.common
@@ -131,18 +147,42 @@ class TestSummarizePair:
         cfg = DecodeConfig(mode=mode, **FAST)
         ra = corpus_by_entity["old_town_suites"]
         rb = corpus_by_entity["airport_express"]
-        triple = summarize_pair(trained_lm, ra, rb, cfg)
+        triple = summarize(trained_lm, ra, rb, cfg)
         assert triple.contrastive_a and triple.contrastive_b and triple.common
 
     def test_base_mode_matches_zero_tradeoffs(self, trained_lm, corpus_by_entity):
         ra = corpus_by_entity["harbor_hotel"]
         rb = corpus_by_entity["garden_inn"]
-        base = summarize_pair(
+        base = summarize(
             trained_lm, ra, rb, DecodeConfig(mode="base", **FAST)
         )
-        zeros = summarize_pair(
+        zeros = summarize(
             trained_lm, ra, rb, DecodeConfig(delta=0.0, gamma=0.0, **FAST)
         )
         assert base.contrastive_a == zeros.contrastive_a
         assert base.contrastive_b == zeros.contrastive_b
         assert base.common == zeros.common
+
+    def test_memory_stays_flat_over_many_pairs(self, trained_lm, sample_corpus):
+        """One LM decoding pair after pair keeps nothing per pair."""
+        cfg = DecodeConfig(
+            beam_width=1, min_len=1, max_len_contrastive=3, max_len_common=3
+        )
+        pairs = list(itertools.combinations(sample_corpus, 2))
+
+        def traced_bytes_after(chunk):
+            for ra, rb in chunk:
+                summarize(trained_lm, ra, rb, cfg)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            warm = traced_bytes_after(pairs[:4])
+            end = traced_bytes_after(pairs[4:])
+        finally:
+            tracemalloc.stop()
+        # Keeping each pair's pooled condition alive would add about 55 KB
+        # per pair here, over 1 MB across the 24 pairs after warm-up.
+        assert len(pairs) == 28
+        assert end - warm < 16 * 1024

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from cosum.data import EntityReviewSet, Review
 from cosum.lm import load_model, save_model, train_model, train_ngram
 from cosum.vocab import EOS_ID, Vocabulary
 
@@ -11,13 +10,6 @@ from cosum.vocab import EOS_ID, Vocabulary
 def make_vocab_and_corpus(texts):
     v = Vocabulary()
     return v, [v.encode(t, extend=True) for t in texts]
-
-
-def review_set(entity, texts):
-    return EntityReviewSet(
-        entity,
-        [Review(entity, f"{entity}-{i}", t) for i, t in enumerate(texts)],
-    )
 
 
 def test_bigram_hand_counts():
@@ -51,6 +43,13 @@ def test_empty_corpus_rejected():
         train_ngram([], order=2, eps=1e-4, vocabulary=v)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_smoothing_mass_rejected(eps):
+    v, corpus = make_vocab_and_corpus(["a b"])
+    with pytest.raises(ValueError, match="smoothing mass must be finite and > 0"):
+        train_ngram(corpus, order=2, eps=eps, vocabulary=v)
+
+
 def test_next_dist_normalized_over_random_contexts():
     v, corpus = make_vocab_and_corpus(
         ["a b c d e", "b c a e d", "e d c b a", "a c e b d"]
@@ -70,8 +69,8 @@ def build_cache_lm(texts, order=2, lam=0.7):
 
 def test_lambda_zero_matches_background_exactly():
     v, lm = build_cache_lm(["a b c", "c b a"], lam=0.0)
-    cond1 = review_set("x", ["a b"])
-    cond2 = review_set("y", ["c c c"])
+    cond1 = lm.condition(["a b"])
+    cond2 = lm.condition(["c c c"])
     prefix = (v.lookup("a"),)
     d1 = lm.next_dist(prefix, cond1)
     d2 = lm.next_dist(prefix, cond2)
@@ -80,7 +79,7 @@ def test_lambda_zero_matches_background_exactly():
 
 def test_lambda_one_support_limited_to_condition():
     v, lm = build_cache_lm(["a b c d"], order=1, lam=1.0)
-    cond = review_set("x", ["a b"])
+    cond = lm.condition(["a b"])
     d = lm.next_dist((), cond)
     allowed = {v.lookup("a"), v.lookup("b"), EOS_ID}
     assert set(d.support) <= allowed
@@ -89,26 +88,23 @@ def test_lambda_one_support_limited_to_condition():
 
 def test_two_set_conditioning_symmetric():
     v, lm = build_cache_lm(["a b c", "b c d"], order=2, lam=0.7)
-    ra = review_set("a", ["a b c"])
-    rb = review_set("b", ["c d a"])
+    ra = ["a b c"]
+    rb = ["c d a"]
     for prefix in [(), (v.lookup("a"),), (v.lookup("c"), v.lookup("d"))]:
-        d_ab = lm.next_dist(prefix, (ra, rb))
-        d_ba = lm.next_dist(prefix, (rb, ra))
+        d_ab = lm.next_dist(prefix, lm.condition(ra + rb))
+        d_ba = lm.next_dist(prefix, lm.condition(rb + ra))
         assert d_ab.entries == d_ba.entries
 
 
 def test_empty_condition_rejected():
     v, lm = build_cache_lm(["a b"])
-    bad = EntityReviewSet.__new__(EntityReviewSet)
-    bad.entity_id = "x"
-    bad.reviews = []
     with pytest.raises(ValueError, match="empty conditioning set"):
-        lm.next_dist((), bad)
+        lm.condition([])
 
 
 def test_deterministic_serialized_dist():
     v, lm = build_cache_lm(["a b c", "c a b"], lam=0.7)
-    cond = review_set("x", ["a b c a"])
+    cond = lm.condition(["a b c a"])
     first = json.dumps(sorted(lm.next_dist((), cond).entries.items()))
     second = json.dumps(sorted(lm.next_dist((), cond).entries.items()))
     assert first == second
@@ -129,9 +125,9 @@ def test_reloaded_model_same_distributions(tmp_path):
     path = tmp_path / "model.json"
     save_model(lm, str(path))
     reloaded = load_model(str(path))
-    cond = review_set("x", ["a b", "c d"])
+    texts = ["a b", "c d"]
     prefix = (v.lookup("b"),)
     assert (
-        lm.next_dist(prefix, cond).entries
-        == reloaded.next_dist(prefix, cond).entries
+        lm.next_dist(prefix, lm.condition(texts)).entries
+        == reloaded.next_dist(prefix, reloaded.condition(texts)).entries
     )
