@@ -176,7 +176,9 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     conditions = [condition_pair(lm, corpus[a], corpus[b]) for a, b in pairs]
 
     for point in points:
-        records = [summarize_pair(lm, pair, point).to_record() for pair in conditions]
+        records = [
+            dataclasses.asdict(summarize_pair(lm, pair, point)) for pair in conditions
+        ]
         if sweep:
             stem, ext = os.path.splitext(args.out)
             out_path = f"{stem}.d{point.delta:g}_g{point.gamma:g}{ext or '.json'}"
@@ -268,9 +270,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             for side in SIDES:
                 refs = [tokenize_text(text) for text in ref[side]]
                 entry[side] = {
-                    "rouge1": rouge_multi(tokens[side], refs, 1).to_record(),
-                    "rouge2": rouge_multi(tokens[side], refs, 2).to_record(),
-                    "rougeL": rouge_multi(tokens[side], refs, None).to_record(),
+                    "rouge1": dataclasses.asdict(rouge_multi(tokens[side], refs, 1)),
+                    "rouge2": dataclasses.asdict(rouge_multi(tokens[side], refs, 2)),
+                    "rougeL": dataclasses.asdict(rouge_multi(tokens[side], refs, None)),
                 }
             entry["distinctiveness"] = distinctiveness(
                 *(Counter(tokens[side]) for side in SIDES)

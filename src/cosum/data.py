@@ -6,13 +6,12 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .vocab import tokenize_text
 
 INPUT_LEN_RANGE = (50, 150)
-CONTRASTIVE_SUMMARY_RANGE = (100, 150)
-COMMON_SUMMARY_RANGE = (15, 50)
+SUMMARY_RANGES = {"contrastive": (100, 150), "common": (15, 50)}
 
 
 @dataclass(frozen=True)
@@ -154,14 +153,6 @@ class SyntheticBuildResult:
     k_truncated: bool = False
 
 
-def _summary_range(task: str) -> Tuple[int, int]:
-    if task == "contrastive":
-        return CONTRASTIVE_SUMMARY_RANGE
-    if task == "common":
-        return COMMON_SUMMARY_RANGE
-    raise ValueError(f"unknown task {task!r}")
-
-
 def build_synthetic(
     corpus: Sequence[EntityReviewSet], task: str, n: int, k: int
 ) -> SyntheticBuildResult:
@@ -177,7 +168,9 @@ def build_synthetic(
         raise ValueError("n must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    lo_sum, hi_sum = _summary_range(task)
+    if task not in SUMMARY_RANGES:
+        raise ValueError(f"unknown task {task!r}")
+    lo_sum, hi_sum = SUMMARY_RANGES[task]
     lo_in, hi_in = INPUT_LEN_RANGE
     stats = TfidfStats.from_corpus(corpus)
 

@@ -140,7 +140,7 @@ def aggregate_common(
         return comm
     a = top_p_truncate(p_a, top_p)
     b = top_p_truncate(p_b, top_p)
-    candidates = sorted(set(comm.support) | set(a.support) | set(b.support))
+    candidates = sorted({*comm.entries, *a.entries, *b.entries})
     scores = {
         t: comm.get(t) + gamma * (a.get(t) + b.get(t)) for t in candidates
     }
@@ -212,6 +212,8 @@ def beam_decode(step_fn: StepFn, cfg: DecodeConfig, max_len: int) -> Tuple[int, 
     """
     alpha = cfg.length_penalty
 
+    # No two hypotheses in a pool share tokens, so rank is a total order
+    # and the order steps list their entries in cannot change the beam.
     def rank(h: Hypothesis) -> Tuple[float, Tuple[int, ...]]:
         return (-h.normalized_score(alpha), h.tokens)
 
@@ -233,7 +235,7 @@ def beam_decode(step_fn: StepFn, cfg: DecodeConfig, max_len: int) -> Tuple[int, 
                     "empty step distribution: all its mass is on masked"
                     " tokens (<unk>, or EOS before min_len)"
                 )
-            for t, p in dist.sorted_items():
+            for t, p in dist.entries.items():
                 pool.append(
                     Hypothesis(
                         tokens=hyp.tokens + (t,),
@@ -252,14 +254,6 @@ class SummaryTriple:
     contrastive_a: str
     contrastive_b: str
     common: str
-
-    def to_record(self) -> dict:
-        return {
-            "pair_id": self.pair_id,
-            "contrastive_a": self.contrastive_a,
-            "contrastive_b": self.contrastive_b,
-            "common": self.common,
-        }
 
 
 def _contrastive_base(lm, prefix, x, y, both, cfg):

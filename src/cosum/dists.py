@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -27,26 +27,8 @@ class TokenDist:
         total = sum(positive.values())
         return TokenDist({t: w / total for t, w in positive.items()})
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def get(self, token_id: int, default: float = 0.0) -> float:
-        return self.entries.get(token_id, default)
-
-    @property
-    def support(self) -> Iterable[int]:
-        return self.entries.keys()
-
-    @property
-    def total(self) -> float:
-        return sum(self.entries.values())
-
-    def is_normalized(self, tol: float = 1e-9) -> bool:
-        return abs(self.total - 1.0) <= tol
-
-    def sorted_items(self) -> List[Tuple[int, float]]:
-        """Deterministic order: descending probability, ascending id."""
-        return sorted(self.entries.items(), key=lambda kv: (-kv[1], kv[0]))
+    def get(self, token_id: int) -> float:
+        return self.entries.get(token_id, 0.0)
 
     def without(self, token_id: int) -> "TokenDist":
         """Drop one token and renormalize the remainder."""
@@ -66,7 +48,7 @@ def top_p_truncate(d: TokenDist, p: float) -> TokenDist:
         raise ValueError(f"top-p must be in (0, 1], got {p}")
     kept: Dict[int, float] = {}
     cum = 0.0
-    items = d.sorted_items()
+    items = sorted(d.entries.items(), key=lambda kv: (-kv[1], kv[0]))
     for token_id, prob in items:
         kept[token_id] = prob
         cum += prob

@@ -17,7 +17,7 @@ from .dists import TokenDist
 from .vocab import BOS_ID, EOS_ID, Vocabulary
 
 Prefix = Tuple[int, ...]
-Counts = Dict[Prefix, Counter]
+Counts = Dict[Prefix, Dict[int, int]]
 
 
 def _context(prefix: Sequence[int], ctx_len: int) -> Prefix:
@@ -55,12 +55,10 @@ class NGramLM:
         self.counts: Counts = {}
 
     def next_dist(self, prefix: Sequence[int]) -> TokenDist:
-        ctx_counts = self.counts.get(_context(prefix, self.order - 1), Counter())
-        support = self.vocabulary.prediction_ids()
-        denom = sum(ctx_counts.values()) + self.eps * len(support)
-        return TokenDist(
-            {t: (ctx_counts.get(t, 0) + self.eps) / denom for t in support}
-        )
+        ctx_counts = self.counts.get(_context(prefix, self.order - 1), {})
+        ids = range(BOS_ID + 1, len(self.vocabulary))
+        denom = sum(ctx_counts.values()) + self.eps * len(ids)
+        return TokenDist({t: (ctx_counts.get(t, 0) + self.eps) / denom for t in ids})
 
 
 def train_ngram(
@@ -172,8 +170,7 @@ def save_model(lm: CacheInterpolatedLM, path: str) -> None:
         "counts": counts,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 _COUNT_ENTRY = (
@@ -184,11 +181,11 @@ _COUNT_ENTRY = (
 
 def _count_entry(
     entry: object, ctx_len: int, ids: range
-) -> Optional[Tuple[Prefix, Counter]]:
+) -> Optional[Tuple[Prefix, Dict[int, int]]]:
     """(context, counts) from a _COUNT_ENTRY over the token ids `ids`, or None."""
     try:
         ctx, items = entry
-        ctx, counter = tuple(ctx), Counter(dict(items))
+        ctx, counter = tuple(ctx), dict(items)
     except (TypeError, ValueError):
         return None
     types = {*map(type, ctx), *map(type, counter), *map(type, counter.values())}
@@ -247,5 +244,10 @@ def load_model(path: str) -> CacheInterpolatedLM:
         parsed = _count_entry(entry, background.order - 1, range(len(vocabulary)))
         if parsed is None:
             raise ValueError(f"{path}: 'counts' entry {index} must be {_COUNT_ENTRY}")
-        background.counts[parsed[0]] = parsed[1]
+        ctx, counter = parsed
+        if len(counter) < len(entry[1]):
+            raise ValueError(f"{path}: 'counts' entry {index} repeats a token id")
+        if ctx in background.counts:
+            raise ValueError(f"{path}: 'counts' entry {index} repeats a context")
+        background.counts[ctx] = counter
     return lm

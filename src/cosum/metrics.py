@@ -23,9 +23,6 @@ class RougeScore:
             f1 = 0.0
         return RougeScore(precision, recall, f1)
 
-    def to_record(self) -> dict:
-        return {"precision": self.precision, "recall": self.recall, "f1": self.f1}
-
 
 def distinctiveness(bag_a: Counter, bag_b: Counter, bag_c: Counter) -> float:
     """1 - normalized overlap between the three summaries' token bags.

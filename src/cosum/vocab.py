@@ -43,9 +43,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
     @property
     def tokens(self) -> Sequence[str]:
         return tuple(self._tokens)
@@ -63,9 +60,6 @@ class Vocabulary:
         """Token -> id, mapping unknown tokens to UNK."""
         return self._index.get(token, UNK_ID)
 
-    def token_of(self, tid: int) -> str:
-        return self._tokens[tid]
-
     def encode(self, text: str, extend: bool = False) -> List[int]:
         """Tokenize and map to ids; extend=True grows the vocabulary."""
         words = tokenize_text(text)
@@ -78,7 +72,3 @@ class Vocabulary:
         return " ".join(
             self._tokens[i] for i in ids if i not in (BOS_ID, EOS_ID)
         )
-
-    def prediction_ids(self) -> List[int]:
-        """Ids a language model may emit: everything except BOS."""
-        return [i for i in range(len(self._tokens)) if i != BOS_ID]

@@ -78,7 +78,7 @@ def test_criterion_2_log_odds_slope():
         support = range(1, rng.randint(3, 8))
         target = random_dist(rng, support)
         counter = random_dist(rng, support)
-        u, v = rng.sample(sorted(target.support), 2)
+        u, v = rng.sample(sorted(target.entries), 2)
         expected = math.log(
             (target.get(u) / counter.get(u)) / (target.get(v) / counter.get(v))
         )

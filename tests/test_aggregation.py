@@ -17,6 +17,8 @@ from cosum.decoding import (
 )
 from cosum.dists import TokenDist, top_p_truncate
 
+from test_dists import sums_to_one
+
 
 def dist(entries):
     return TokenDist(dict(entries))
@@ -137,7 +139,7 @@ class TestCommon:
     def test_union_candidate_set(self):
         comm = dist({1: 1.0})
         out = aggregate_common(comm, dist({2: 1.0}), dist({3: 1.0}), 1.0, 1.0)
-        assert set(out.support) == {1, 2, 3}
+        assert set(out.entries) == {1, 2, 3}
 
 
 class TestCommonPoe:
@@ -169,7 +171,7 @@ class TestLogOddsSlope:
             support = range(1, rng.randint(3, 7))
             target = random_dist(rng, support)
             counter = random_dist(rng, support)
-            tokens = sorted(target.support)
+            tokens = sorted(target.entries)
             u, v = rng.sample(tokens, 2)
             log_odds = []
             for delta in deltas:
@@ -206,7 +208,7 @@ class TestSymmetricCommonDist:
             trained_lm, (), condition_pair(trained_lm, ra, rb).both
         )
         direct = trained_lm.next_dist((), trained_lm.condition(ra.texts + rb.texts))
-        for t in direct.support:
+        for t in direct.entries:
             assert merged.get(t) == pytest.approx(direct.get(t), abs=1e-12)
 
 
@@ -230,5 +232,5 @@ def test_contrastive_output_normalized_within_candidates(wt, wc, delta, top_p):
     target = TokenDist.from_weights(wt)
     counter = TokenDist.from_weights(wc)
     out = aggregate_contrastive(target, counter, delta, top_p)
-    assert out.is_normalized()
-    assert set(out.support) <= set(top_p_truncate(target, top_p).support)
+    assert sums_to_one(out)
+    assert set(out.entries) <= set(top_p_truncate(target, top_p).entries)

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cosum.decoding import DecodeConfig, beam_decode
 from cosum.dists import TokenDist
@@ -21,7 +23,7 @@ def make_toy_step_fn(rng, vocab_ids, max_len):
     def fill(prefix):
         if len(prefix) >= max_len:
             return
-        for t in table_for(prefix).support:
+        for t in table_for(prefix).entries:
             if t != EOS_ID:
                 fill(prefix + (t,))
 
@@ -47,7 +49,7 @@ def exhaustive_best(step_fn, cfg, max_len):
         dist = step_fn(prefix)
         if len(prefix) < cfg.min_len:
             dist = dist.without(EOS_ID)
-        for t, p in dist.sorted_items():
+        for t, p in dist.entries.items():
             walk(prefix + (t,), logscore + math.log(p))
 
     walk((), 0.0)
@@ -137,3 +139,25 @@ def test_deterministic():
     step_fn = make_toy_step_fn(rng, vocab_ids, 3)
     cfg = DecodeConfig(beam_width=4, min_len=1, max_len_contrastive=3, max_len_common=3)
     assert beam_decode(step_fn, cfg, 3) == beam_decode(step_fn, cfg, 3)
+
+
+@given(st.randoms(use_true_random=False), st.integers(min_value=1, max_value=4))
+def test_entry_order_does_not_change_the_result(rnd, width):
+    # Weights of 1 or 2 make many hypotheses tie on score; rank breaks
+    # those ties by tokens, so the order a step lists its entries in
+    # cannot reach the result.
+    tables = {}
+
+    def ascending(prefix):
+        if prefix not in tables:
+            weights = {t: rnd.choice((1.0, 2.0)) for t in (EOS_ID, 3, 4, 5)}
+            tables[prefix] = TokenDist.from_weights(weights)
+        return tables[prefix]
+
+    def shuffled(prefix):
+        items = list(ascending(prefix).entries.items())
+        rnd.shuffle(items)
+        return TokenDist(dict(items))
+
+    cfg = DecodeConfig(beam_width=width, min_len=1, max_len_contrastive=4, max_len_common=4)
+    assert beam_decode(shuffled, cfg, 4) == beam_decode(ascending, cfg, 4)

@@ -403,6 +403,20 @@ class TestSummarize:
             ([], model(counts=[[[], [[1, 0]]]]), None, None, "bad_model.json: 'counts' entry 1"),
             (
                 [],
+                model(counts=[[[], [[3, 7], [3, 2]]]]),
+                None,
+                None,
+                "bad_model.json: 'counts' entry 1 repeats a token id",
+            ),
+            (
+                [],
+                model(counts=[[[], [[1, 1], [3, 1]]], [[], [[3, 7]]]]),
+                None,
+                None,
+                "bad_model.json: 'counts' entry 2 repeats a context",
+            ),
+            (
+                [],
                 model(eps=float("nan")),
                 None,
                 None,
@@ -448,6 +462,8 @@ class TestSummarize:
             "model-token-id-too-large",
             "model-token-id-bos",
             "model-count-zero",
+            "model-token-id-repeated",
+            "model-context-repeated",
             "model-eps-nan",
             "length-penalty-nan",
             "delta-inf",

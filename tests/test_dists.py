@@ -17,17 +17,21 @@ def dist_strategy(max_support=8):
     )
 
 
+def sums_to_one(d, tol=1e-9):
+    return abs(sum(d.entries.values()) - 1.0) <= tol
+
+
 def test_from_weights_drops_zeros_and_normalizes():
     d = TokenDist.from_weights({1: 0.5, 2: 0.0, 3: 1.5})
-    assert set(d.support) == {1, 3}
-    assert d.is_normalized()
+    assert set(d.entries) == {1, 3}
+    assert sums_to_one(d)
     assert d.get(3) == pytest.approx(0.75)
 
 
 def test_hand_truncation():
     d = TokenDist({1: 0.5, 2: 0.3, 3: 0.15, 4: 0.05})
     out = top_p_truncate(d, 0.9)
-    assert set(out.support) == {1, 2, 3}
+    assert set(out.entries) == {1, 2, 3}
     assert out.get(1) == pytest.approx(0.5 / 0.95)
     assert out.get(2) == pytest.approx(0.3 / 0.95)
     assert out.get(3) == pytest.approx(0.15 / 0.95)
@@ -47,7 +51,7 @@ def test_one_hot_unchanged():
 def test_tie_break_by_ascending_id():
     d = TokenDist({5: 0.25, 2: 0.25, 9: 0.25, 1: 0.25})
     out = top_p_truncate(d, 0.5)
-    assert set(out.support) == {1, 2}
+    assert set(out.entries) == {1, 2}
 
 
 def test_invalid_p_rejected():
@@ -60,9 +64,9 @@ def test_invalid_p_rejected():
 @given(dist_strategy(), st.floats(min_value=0.05, max_value=1.0))
 def test_truncation_support_subset_and_mass_growth(d, p):
     out = top_p_truncate(d, p)
-    assert set(out.support) <= set(d.support)
-    assert out.is_normalized()
-    for t in out.support:
+    assert set(out.entries) <= set(d.entries)
+    assert sums_to_one(out)
+    for t in out.entries:
         assert out.get(t) >= d.get(t) - 1e-12
 
 

@@ -6,6 +6,8 @@ import pytest
 from cosum.lm import load_model, save_model, train_model, train_ngram
 from cosum.vocab import EOS_ID, Vocabulary
 
+from test_dists import sums_to_one
+
 
 def make_vocab_and_corpus(texts):
     v = Vocabulary()
@@ -34,7 +36,7 @@ def test_unseen_context_is_uniform():
     d = lm.next_dist((v.lookup("b"), v.lookup("a")))
     values = set(round(p, 15) for p in d.entries.values())
     assert len(values) == 1
-    assert d.is_normalized()
+    assert sums_to_one(d)
 
 
 def test_empty_corpus_rejected():
@@ -56,10 +58,17 @@ def test_next_dist_normalized_over_random_contexts():
     )
     lm = train_ngram(corpus, order=3, eps=1e-4, vocabulary=v)
     rng = random.Random(7)
-    ids = v.prediction_ids()
+    ids = range(1, len(v))
     for _ in range(120):
         prefix = tuple(rng.choices(ids, k=rng.randint(0, 4)))
-        assert lm.next_dist(prefix).is_normalized()
+        assert sums_to_one(lm.next_dist(prefix))
+
+
+def test_next_dist_predicts_every_id_but_bos():
+    v, corpus = make_vocab_and_corpus(["a b"])
+    lm = train_ngram(corpus, order=2, eps=1e-4, vocabulary=v)
+    for prefix in [(v.lookup("a"),), (EOS_ID,)]:  # a seen and an unseen context
+        assert list(lm.next_dist(prefix).entries) == list(range(1, len(v)))
 
 
 def build_cache_lm(texts, order=2, lam=0.7):
@@ -82,8 +91,8 @@ def test_lambda_one_support_limited_to_condition():
     cond = lm.condition(["a b"])
     d = lm.next_dist((), cond)
     allowed = {v.lookup("a"), v.lookup("b"), EOS_ID}
-    assert set(d.support) <= allowed
-    assert d.is_normalized()
+    assert set(d.entries) <= allowed
+    assert sums_to_one(d)
 
 
 def test_two_set_conditioning_symmetric():

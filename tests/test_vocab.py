@@ -37,7 +37,7 @@ def test_ids_dense_and_roundtrip():
     ids = v.encode("the cat sat .", extend=True)
     assert ids == [3, 4, 5, 6]
     for i in range(len(v)):
-        assert v.lookup(v.token_of(i)) == i
+        assert v.lookup(v.tokens[i]) == i
 
 
 def test_unknown_maps_to_unk_outside_training():
@@ -57,10 +57,3 @@ def test_decode_skips_bos_eos():
     v = Vocabulary()
     ids = v.encode("hello world", extend=True)
     assert v.decode([BOS_ID] + ids + [EOS_ID]) == "hello world"
-
-
-def test_prediction_ids_exclude_bos():
-    v = Vocabulary()
-    v.encode("a b", extend=True)
-    assert BOS_ID not in v.prediction_ids()
-    assert EOS_ID in v.prediction_ids()
