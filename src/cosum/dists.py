@@ -5,17 +5,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from .vocab import BOS_ID
+
 
 @dataclass(frozen=True)
 class TokenDist:
     """Sparse probability distribution over token ids.
 
-    Entries are strictly positive; zero-probability tokens are simply
-    absent. Construction through ``from_weights`` drops zeros and
-    renormalizes.
+    Entries are strictly positive. Every id in ``[1, size)`` without an
+    entry has probability ``tail`` (add-epsilon smoothing gives all unseen
+    ids one value); any other id has probability 0. Construction through
+    ``from_weights`` drops zeros and renormalizes, with no tail.
     """
 
     entries: Dict[int, float] = field(default_factory=dict)
+    tail: float = 0.0
+    size: int = 0
 
     @staticmethod
     def from_weights(weights: Dict[int, float]) -> "TokenDist":
@@ -27,14 +32,28 @@ class TokenDist:
         total = sum(positive.values())
         return TokenDist({t: w / total for t, w in positive.items()})
 
+    @property
+    def implicit(self) -> bool:
+        """Whether some id takes the tail value without an entry."""
+        return bool(self.tail) and len(self.entries) < self.size - 1
+
     def get(self, token_id: int) -> float:
-        return self.entries.get(token_id, 0.0)
+        tail = self.tail if BOS_ID < token_id < self.size else 0.0
+        return self.entries.get(token_id, tail)
+
+    def dense(self) -> "TokenDist":
+        """The same distribution with an entry for every positive id."""
+        if not self.implicit:
+            return self
+        ids = range(BOS_ID + 1, self.size)
+        return TokenDist({t: self.entries.get(t, self.tail) for t in ids})
 
     def without(self, token_id: int) -> "TokenDist":
         """Drop one token and renormalize the remainder."""
-        if token_id not in self.entries:
+        entries = self.dense().entries
+        if token_id not in entries:
             return self
-        rest = {t: p for t, p in self.entries.items() if t != token_id}
+        rest = {t: p for t, p in entries.items() if t != token_id}
         return TokenDist.from_weights(rest)
 
 
@@ -42,18 +61,26 @@ def top_p_truncate(d: TokenDist, p: float) -> TokenDist:
     """Keep the smallest descending-probability prefix with mass >= p.
 
     Ties are broken by ascending token id. Kept mass is renormalized. If
-    the whole support is kept the input is returned unchanged.
+    the whole support is kept the input is returned unchanged. Entries
+    above the tail lead that order, so only a nucleus that reaches the
+    tail walks the dense view.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"top-p must be in (0, 1], got {p}")
     kept: Dict[int, float] = {}
     cum = 0.0
-    items = sorted(d.entries.items(), key=lambda kv: (-kv[1], kv[0]))
+    items = d.entries.items()
+    if d.implicit:
+        items = [(t, prob) for t, prob in items if prob > d.tail]
+    items = sorted(items, key=lambda kv: (-kv[1], kv[0]))
     for token_id, prob in items:
         kept[token_id] = prob
         cum += prob
         if cum >= p - 1e-12:
             break
-    if len(kept) == len(items):
+    if d.implicit:
+        if cum < p - 1e-12:
+            return top_p_truncate(d.dense(), p)
+    elif len(kept) == len(items):
         return d
     return TokenDist({t: pr / cum for t, pr in kept.items()})

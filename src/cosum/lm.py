@@ -8,6 +8,7 @@ depend on which entity's reviews condition the step.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -41,7 +42,8 @@ class NGramLM:
 
     Sequences are padded with order-1 BOS and one EOS during training.
     Predictions range over every vocabulary token except BOS, so any
-    context (seen or not) yields a full, normalized distribution.
+    context (seen or not) yields a full, normalized distribution: the
+    seen tokens as entries, every other one as the smoothing tail.
     """
 
     def __init__(self, order: int, vocabulary: Vocabulary, eps: float) -> None:
@@ -58,7 +60,8 @@ class NGramLM:
         ctx_counts = self.counts.get(_context(prefix, self.order - 1), {})
         ids = range(BOS_ID + 1, len(self.vocabulary))
         denom = sum(ctx_counts.values()) + self.eps * len(ids)
-        return TokenDist({t: (ctx_counts.get(t, 0) + self.eps) / denom for t in ids})
+        entries = {t: (c + self.eps) / denom for t, c in ctx_counts.items()}
+        return TokenDist(entries, self.eps / denom, len(self.vocabulary))
 
 
 def train_ngram(
@@ -79,15 +82,27 @@ class CacheModel:
     leaves the conditioning text (plus EOS). The counts are integers
     pooled over all sequences, so their order does not matter:
     ``lm.condition(a + b)`` and ``lm.condition(b + a)`` give bit-identical
-    distributions.
+    distributions. The texts are encoded and counted on first use, so a
+    condition that is never read costs nothing.
+
+    A condition belongs to the LM that built it: ``memo`` keeps that LM's
+    interpolated distributions by context for as long as the condition
+    lives, which is one pair.
     """
 
-    def __init__(self, sequences: Sequence[Sequence[int]], order: int) -> None:
-        if not sequences:
+    def __init__(self, texts: Sequence[str], vocabulary: Vocabulary, order: int) -> None:
+        if not texts:
             raise ValueError("empty conditioning set")
+        self.texts = tuple(texts)
+        self.vocabulary = vocabulary
         self.order = order
-        # counts[k] maps length-(k-1) contexts to next-token counters.
-        self.counts = {k: count_ngrams(sequences, k) for k in range(1, order + 1)}
+        self.memo: Dict[Prefix, TokenDist] = {}
+
+    @functools.cached_property
+    def counts(self) -> Dict[int, Counts]:
+        """counts[k] maps length-(k-1) contexts to next-token counters."""
+        sequences = [self.vocabulary.encode(text) for text in self.texts]
+        return {k: count_ngrams(sequences, k) for k in range(1, self.order + 1)}
 
     def next_dist(self, prefix: Sequence[int]) -> TokenDist:
         ctx = _context(prefix, self.order - 1)
@@ -105,7 +120,8 @@ class CacheInterpolatedLM:
     """lambda * cache(prefix | reviews) + (1 - lambda) * background(prefix).
 
     ``condition(texts)`` builds the cache model once; ``next_dist`` takes
-    it for every step conditioned on those texts.
+    it for every step conditioned on those texts and memoises its answers
+    there, keyed by the longest context either model reads.
     """
 
     def __init__(
@@ -125,20 +141,32 @@ class CacheInterpolatedLM:
 
     def condition(self, texts: Sequence[str]) -> CacheModel:
         """The cache model over texts (unknown words map to UNK)."""
-        sequences = [self.vocabulary.encode(text) for text in texts]
-        return CacheModel(sequences, self.cache_order)
+        return CacheModel(texts, self.vocabulary, self.cache_order)
 
     def next_dist(self, prefix: Sequence[int], condition: CacheModel) -> TokenDist:
+        key = _context(prefix, max(self.background.order, self.cache_order) - 1)
+        dist = condition.memo.get(key)
+        if dist is None:
+            dist = condition.memo[key] = self._interpolate(key, condition)
+        return dist
+
+    def _interpolate(self, prefix: Prefix, condition: CacheModel) -> TokenDist:
         background = self.background.next_dist(prefix)
         if self.lam == 0.0:
             return background
         cache = condition.next_dist(prefix)
         lam = self.lam
-        combined = {
-            t: lam * cache.get(t) + (1.0 - lam) * p
-            for t, p in background.entries.items()
-        }
-        return TokenDist.from_weights(combined)
+        # The normaliser adds every id's weight in ascending id order, as a
+        # dense from_weights would, so the result is the same to the bit.
+        tail = (1.0 - lam) * background.tail
+        weights = [tail] * background.size
+        weights[BOS_ID] = 0.0
+        support = sorted({*background.entries, *cache.entries})
+        for t in support:
+            weights[t] = lam * cache.get(t) + (1.0 - lam) * background.get(t)
+        total = sum(weights)
+        entries = {t: weights[t] / total for t in support if weights[t] > 0.0}
+        return TokenDist(entries, tail / total, background.size)
 
 
 def train_model(

@@ -11,6 +11,8 @@ from cosum.decoding import (
     load_decode_config,
     summarize_pair,
 )
+from cosum.lm import CacheInterpolatedLM, NGramLM, _context
+from cosum.vocab import Vocabulary
 
 FAST = dict(min_len=3, max_len_contrastive=25, max_len_common=15)
 
@@ -186,3 +188,52 @@ class TestSummarizePair:
         # per pair here, over 1 MB across the 24 pairs after warm-up.
         assert len(pairs) == 28
         assert end - warm < 16 * 1024
+
+
+class TestPairConditions:
+    def count_calls(self, monkeypatch, cls, name):
+        calls = []
+        original = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    def test_memo_runs_background_once_per_context(
+        self, trained_lm, corpus_by_entity, monkeypatch
+    ):
+        pair = condition_pair(
+            trained_lm, corpus_by_entity["harbor_hotel"], corpus_by_entity["garden_inn"]
+        )
+        background_calls = self.count_calls(monkeypatch, NGramLM, "next_dist")
+        lm_calls = self.count_calls(monkeypatch, CacheInterpolatedLM, "next_dist")
+        summarize_pair(trained_lm, pair, DecodeConfig(**FAST))
+        width = max(trained_lm.background.order, trained_lm.cache_order) - 1
+        keys = {(id(cond), _context(prefix, width)) for _, prefix, cond in lm_calls}
+        conditions = (pair.a, pair.b, pair.both)
+        assert len(lm_calls) > len(keys)
+        assert len(background_calls) == len(keys)
+        assert len(keys) == sum(len(cond.memo) for cond in conditions)
+        prefix = lm_calls[-1][1]
+        for cond in conditions:
+            first = trained_lm.next_dist(prefix, cond)
+            assert trained_lm.next_dist(prefix, cond) is first
+
+    def test_unread_conditions_are_never_encoded(
+        self, trained_lm, corpus_by_entity, monkeypatch
+    ):
+        ra = corpus_by_entity["harbor_hotel"]
+        rb = corpus_by_entity["garden_inn"]
+        encodes = self.count_calls(monkeypatch, Vocabulary, "encode")
+        background_only = CacheInterpolatedLM(
+            trained_lm.background, trained_lm.cache_order, 0.0
+        )
+        summarize(background_only, ra, rb, DecodeConfig(**FAST))
+        assert encodes == []
+        pair = condition_pair(trained_lm, ra, rb)
+        assert encodes == []
+        summarize_pair(trained_lm, pair, DecodeConfig(**FAST))
+        assert len(encodes) == 2 * (len(ra.texts) + len(rb.texts))

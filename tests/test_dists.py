@@ -18,7 +18,9 @@ def dist_strategy(max_support=8):
 
 
 def sums_to_one(d, tol=1e-9):
-    return abs(sum(d.entries.values()) - 1.0) <= tol
+    """Entry mass plus the tail's mass over the ids without an entry."""
+    tail_mass = d.tail * (d.size - 1 - len(d.entries)) if d.implicit else 0.0
+    return abs(sum(d.entries.values()) + tail_mass - 1.0) <= tol
 
 
 def test_from_weights_drops_zeros_and_normalizes():
@@ -81,3 +83,11 @@ def test_without_renormalizes():
     out = d.without(2)
     assert out.entries == {1: 1.0}
     assert d.without(99) is d
+
+
+def test_tail_ids_read_and_drop_like_entries():
+    d = TokenDist({1: 0.5}, tail=0.25, size=4)
+    assert d.get(3) == 0.25 and d.get(0) == 0.0 and d.get(4) == 0.0
+    assert sums_to_one(d)
+    assert d.dense().entries == {1: 0.5, 2: 0.25, 3: 0.25}
+    assert d.without(3).entries == pytest.approx({1: 2 / 3, 2: 1 / 3})

@@ -33,7 +33,7 @@ def test_unigram_hand_counts():
 def test_unseen_context_is_uniform():
     v, corpus = make_vocab_and_corpus(["a b"])
     lm = train_ngram(corpus, order=3, eps=0.1, vocabulary=v)
-    d = lm.next_dist((v.lookup("b"), v.lookup("a")))
+    d = lm.next_dist((v.lookup("b"), v.lookup("a"))).dense()
     values = set(round(p, 15) for p in d.entries.values())
     assert len(values) == 1
     assert sums_to_one(d)
@@ -61,14 +61,14 @@ def test_next_dist_normalized_over_random_contexts():
     ids = range(1, len(v))
     for _ in range(120):
         prefix = tuple(rng.choices(ids, k=rng.randint(0, 4)))
-        assert sums_to_one(lm.next_dist(prefix))
+        assert sums_to_one(lm.next_dist(prefix).dense())
 
 
 def test_next_dist_predicts_every_id_but_bos():
     v, corpus = make_vocab_and_corpus(["a b"])
     lm = train_ngram(corpus, order=2, eps=1e-4, vocabulary=v)
     for prefix in [(v.lookup("a"),), (EOS_ID,)]:  # a seen and an unseen context
-        assert list(lm.next_dist(prefix).entries) == list(range(1, len(v)))
+        assert list(lm.next_dist(prefix).dense().entries) == list(range(1, len(v)))
 
 
 def build_cache_lm(texts, order=2, lam=0.7):
