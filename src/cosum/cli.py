@@ -26,8 +26,10 @@ from .decoding import (
 from .lm import load_model, save_model, train_model
 from .metrics import (
     distinctiveness,
+    fold_sum,
     intra_pair_score,
-    novel_ngram_rate,
+    ngrams,
+    novel_rate,
     rouge_multi,
 )
 from .vocab import tokenize_text
@@ -196,20 +198,29 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _mean(values: Sequence[float]) -> Optional[float]:
-    return sum(values) / len(values) if values else None
-
-
-def _novel_rates(summary: List[str], source: List[str]) -> Dict[str, Optional[float]]:
-    rates: Dict[str, Optional[float]] = {}
-    for n in (1, 2):
-        rates[f"novel_{n}gram"] = (
-            novel_ngram_rate(summary, source, n) if len(summary) >= n else None
-        )
-    return rates
-
-
 SIDES = ("contrastive_a", "contrastive_b", "common")
+
+
+def _mean(values: Sequence[float]) -> Optional[float]:
+    return fold_sum(values) / len(values) if values else None
+
+
+def _novelty(
+    tokens: Dict[str, List[str]], source_a: List[str], source_b: List[str]
+) -> Dict[str, Dict[str, Optional[float]]]:
+    """Novel 1- and 2-gram rates of each side against its source.
+
+    No token spans a joining space, so the common side's source is
+    source_a + source_b: both sources' n-grams plus the junction bigram.
+    """
+    rates: Dict[str, Dict[str, Optional[float]]] = {side: {} for side in SIDES}
+    for n in (1, 2):
+        grams_a, grams_b = set(ngrams(source_a, n)), set(ngrams(source_b, n))
+        common = grams_a | grams_b | set(ngrams(source_a[-1:] + source_b[:1], n))
+        for side, source in zip(SIDES, (grams_a, grams_b, common)):
+            grams = set(ngrams(tokens[side], n))
+            rates[side][f"novel_{n}gram"] = novel_rate(grams, source) if grams else None
+    return rates
 
 
 def _checked_record(rec: object, where: str, reference: bool) -> dict:
@@ -292,15 +303,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 for entity_id in (entity_a, entity_b):
                     if entity_id not in corpus:
                         raise CliError(f"unknown entity id: {entity_id}")
-                # No token spans a joining space, so the common side's source
-                # is the two entity sources concatenated.
-                source_a = tokenize_text(" ".join(corpus[entity_a].texts))
-                source_b = tokenize_text(" ".join(corpus[entity_b].texts))
-                entry["novelty"] = {
-                    "contrastive_a": _novel_rates(tokens["contrastive_a"], source_a),
-                    "contrastive_b": _novel_rates(tokens["contrastive_b"], source_b),
-                    "common": _novel_rates(tokens["common"], source_a + source_b),
-                }
+                entry["novelty"] = _novelty(
+                    tokens,
+                    tokenize_text(" ".join(corpus[entity_a].texts)),
+                    tokenize_text(" ".join(corpus[entity_b].texts)),
+                )
         except (CliError, ValueError) as exc:
             raise CliError(f"{args.generated}: pair {pair_id}: {exc}") from exc
         per_pair[pair_id] = entry

@@ -8,6 +8,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
+from .metrics import fold_sum
 from .vocab import tokenize_text
 
 INPUT_LEN_RANGE = (50, 150)
@@ -37,12 +38,18 @@ class EntityReviewSet:
     def __post_init__(self) -> None:
         if not self.reviews:
             raise ValueError(f"entity {self.entity_id!r} has no reviews")
+        seen = set()
         for r in self.reviews:
             if r.entity_id != self.entity_id:
                 raise ValueError(
                     f"review {r.review_id!r} belongs to {r.entity_id!r}, "
                     f"not {self.entity_id!r}"
                 )
+            if r.review_id in seen:
+                raise ValueError(
+                    f"entity {self.entity_id!r} has duplicate review id {r.review_id!r}"
+                )
+            seen.add(r.review_id)
 
     @property
     def texts(self) -> List[str]:
@@ -104,7 +111,7 @@ class TfidfStats:
     def vector(self, review: Review) -> Dict[str, float]:
         tf = Counter(tokenize_text(review.text))
         vec = {term: count * self.idf(term) for term, count in tf.items()}
-        norm = math.sqrt(sum(w * w for w in vec.values()))
+        norm = math.sqrt(fold_sum(w * w for w in vec.values()))
         if norm == 0.0:
             return {}
         return {term: w / norm for term, w in vec.items()}
@@ -112,11 +119,14 @@ class TfidfStats:
 
 def tfidf_similarity(a: Review, b: Review, stats: TfidfStats) -> float:
     """Cosine similarity of L2-normalized TF-IDF unigram vectors."""
-    va = stats.vector(a)
-    vb = stats.vector(b)
+    return _cosine(stats.vector(a), stats.vector(b))
+
+
+def _cosine(va: Dict[str, float], vb: Dict[str, float]) -> float:
+    # Walks the shorter vector (the first on a tie): order can move the last bit.
     if len(vb) < len(va):
         va, vb = vb, va
-    return sum(w * vb.get(term, 0.0) for term, w in va.items())
+    return fold_sum(w * vb.get(term, 0.0) for term, w in va.items())
 
 
 @dataclass
@@ -176,12 +186,16 @@ def build_synthetic(
 
     pairs: List[SyntheticPair] = []
     skipped: List[dict] = []
+    # Pseudo-summary vectors, kept for the common task's counterpart search.
+    summary_vectors: Dict[Review, Dict[str, float]] = {}
     for entity in corpus:
-        eligible = [c for c in entity.reviews if lo_in <= c.length <= hi_in]
+        length = {r: r.length for r in entity.reviews}
+        # The eligible inputs' vectors, in review order; dropped per entity.
+        vectors = {c: stats.vector(c) for c, m in length.items() if lo_in <= m <= hi_in}
         for r in entity.reviews:
-            if not lo_sum <= r.length <= hi_sum:
+            if not lo_sum <= length[r] <= hi_sum:
                 continue
-            candidates = [c for c in eligible if c.review_id != r.review_id]
+            candidates = [c for c in vectors if c.review_id != r.review_id]
             if len(candidates) < n:
                 skipped.append(
                     {
@@ -191,10 +205,13 @@ def build_synthetic(
                     }
                 )
                 continue
+            vr = vectors[r] if r in vectors else stats.vector(r)
+            if task == "common":
+                summary_vectors[r] = vr
             # The objective is a separable sum, so the best size-n subset
             # is the n individually most similar candidates.
             chosen = sorted(
-                ((tfidf_similarity(r, c, stats), c) for c in candidates),
+                ((_cosine(vr, vectors[c]), c) for c in candidates),
                 key=lambda scored: (-scored[0], scored[1].review_id),
             )[:n]
             pairs.append(
@@ -203,7 +220,7 @@ def build_synthetic(
                     entity_id=entity.entity_id,
                     pseudo_summary=r,
                     inputs=[c for _, c in chosen],
-                    similarity_sum=sum(score for score, _ in chosen),
+                    similarity_sum=fold_sum(score for score, _ in chosen),
                 )
             )
 
@@ -219,6 +236,7 @@ def build_synthetic(
     if task == "common":
         with_counterparts: List[SyntheticPair] = []
         for pair in kept:
+            vp = summary_vectors[pair.pseudo_summary]
             candidates = [
                 other
                 for other in kept
@@ -236,9 +254,7 @@ def build_synthetic(
             counterpart = min(
                 candidates,
                 key=lambda other: (
-                    -tfidf_similarity(
-                        pair.pseudo_summary, other.pseudo_summary, stats
-                    ),
+                    -_cosine(vp, summary_vectors[other.pseudo_summary]),
                     other.entity_id,
                     other.pseudo_summary.review_id,
                 ),

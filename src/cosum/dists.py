@@ -29,6 +29,7 @@ class TokenDist:
         positive = {t: weights[t] for t in sorted(weights) if weights[t] > 0.0}
         if not positive:
             return TokenDist({})
+        # Version-dependent: sum() of floats is compensated from Python 3.12 on.
         total = sum(positive.values())
         return TokenDist({t: w / total for t, w in positive.items()})
 

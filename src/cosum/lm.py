@@ -164,6 +164,7 @@ class CacheInterpolatedLM:
         support = sorted({*background.entries, *cache.entries})
         for t in support:
             weights[t] = lam * cache.get(t) + (1.0 - lam) * background.get(t)
+        # Version-dependent like from_weights; metrics.fold_sum is ~6x slower here.
         total = sum(weights)
         entries = {t: weights[t] / total for t in support if weights[t] > 0.0}
         return TokenDist(entries, tail / total, background.size)

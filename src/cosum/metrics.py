@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import functools
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Set, Tuple
 
 Tokens = Sequence[str]
+
+
+def fold_sum(values: Iterable[float]) -> float:
+    """Left-to-right sum: `sum()` of floats is compensated from Python 3.12 on."""
+    return functools.reduce(operator.add, values, 0)
 
 
 @dataclass(frozen=True)
@@ -41,18 +48,16 @@ def distinctiveness(bag_a: Counter, bag_b: Counter, bag_c: Counter) -> float:
     return 1.0 - (pairwise - 2 * triple) / union
 
 
-def _ngrams(tokens: Tokens, n: int) -> Counter:
-    return Counter(
-        tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)
-    )
+def ngrams(tokens: Tokens, n: int) -> Iterator[Tuple[str, ...]]:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return zip(*[tokens[i:] for i in range(n)])
 
 
 def rouge_n(candidate: Tokens, reference: Tokens, n: int) -> RougeScore:
     """Clipped n-gram overlap precision/recall/F1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cand_grams = _ngrams(candidate, n)
-    ref_grams = _ngrams(reference, n)
+    cand_grams = Counter(ngrams(candidate, n))
+    ref_grams = Counter(ngrams(reference, n))
     total_cand = sum(cand_grams.values())
     total_ref = sum(ref_grams.values())
     if total_cand == 0 or total_ref == 0:
@@ -62,18 +67,16 @@ def rouge_n(candidate: Tokens, reference: Tokens, n: int) -> RougeScore:
 
 
 def _lcs_length(a: Tokens, b: Tokens) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    # Bit-parallel (Allison-Dix, Hyyrö): v's zero bits count the LCS so far.
+    masks: Dict[str, int] = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: Tokens, reference: Tokens) -> RougeScore:
@@ -96,9 +99,9 @@ def rouge_multi(
     ]
     k = len(scores)
     return RougeScore(
-        precision=sum(s.precision for s in scores) / k,
-        recall=sum(s.recall for s in scores) / k,
-        f1=sum(s.f1 for s in scores) / k,
+        precision=fold_sum(s.precision for s in scores) / k,
+        recall=fold_sum(s.recall for s in scores) / k,
+        f1=fold_sum(s.f1 for s in scores) / k,
     )
 
 
@@ -115,11 +118,13 @@ def intra_pair_score(
     )
 
 
+def novel_rate(summary_grams: Set[tuple], input_grams: Set[tuple]) -> float:
+    """Fraction of the summary's distinct n-grams absent from the input's."""
+    return len(summary_grams - input_grams) / len(summary_grams)
+
+
 def novel_ngram_rate(summary: Tokens, input_tokens: Tokens, n: int) -> float:
     """Fraction of distinct summary n-grams absent from the input."""
     if len(summary) < n:
         raise ValueError("summary too short")
-    summary_grams = set(_ngrams(summary, n))
-    input_grams = set(_ngrams(input_tokens, n))
-    novel = sum(1 for g in summary_grams if g not in input_grams)
-    return novel / len(summary_grams)
+    return novel_rate(set(ngrams(summary, n)), set(ngrams(input_tokens, n)))

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from cosum.cli import main
+from cosum.metrics import novel_ngram_rate
 from cosum.sample_corpus import write_sample_corpus
+from cosum.vocab import tokenize_text
 
 
 @pytest.fixture(scope="module")
@@ -736,3 +738,51 @@ class TestEvaluate:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {gen_path}: {named}\n"
         assert not (tmp_path / "m.json").exists()
+
+
+def test_evaluate_novelty_matches_novel_ngram_rate_across_the_junction(tmp_path):
+    """The common side's source is source_a + source_b, so a bigram made of
+    a's last token and b's first token is not novel for it."""
+    rows = [
+        ("a", "a1", "red apple ."),
+        ("a", "a2", "ripe plum"),
+        ("b", "b1", "green pear ."),
+    ]
+    reviews = tmp_path / "reviews.jsonl"
+    reviews.write_text(
+        "".join(
+            json.dumps({"entity_id": e, "review_id": r, "text": t}) + "\n"
+            for e, r, t in rows
+        )
+    )
+    # "plum green" occurs only across the junction of the two sources.
+    summaries = {
+        "contrastive_a": "red plum",
+        "contrastive_b": "pear .",
+        "common": "plum green",
+    }
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps([dict(pair_id="a|b", **summaries)]))
+    refs = tmp_path / "refs.jsonl"
+    refs.write_text(
+        json.dumps(dict(pair_id="a|b", **{s: [t] for s, t in summaries.items()})) + "\n"
+    )
+    out = tmp_path / "m.json"
+    argv = ["evaluate", "--generated", str(gen), "--references", str(refs)]
+    assert main(argv + ["--reviews", str(reviews), "--out", str(out)]) == 0
+    novelty = json.loads(out.read_text())["pairs"]["a|b"]["novelty"]
+
+    source_a = tokenize_text("red apple . ripe plum")
+    source_b = tokenize_text("green pear .")
+    sources = {
+        "contrastive_a": source_a,
+        "contrastive_b": source_b,
+        "common": source_a + source_b,
+    }
+    for side, source in sources.items():
+        for n in (1, 2):
+            expected = novel_ngram_rate(tokenize_text(summaries[side]), source, n)
+            assert novelty[side][f"novel_{n}gram"] == expected, (side, n)
+    assert novelty["common"]["novel_2gram"] == 0.0
+    assert novel_ngram_rate(["plum", "green"], source_a, 2) == 1.0
+    assert novel_ngram_rate(["plum", "green"], source_b, 2) == 1.0

@@ -78,6 +78,30 @@ class TestLoadReviews:
             load_reviews(str(path))
 
 
+class TestEntityReviewSet:
+    def test_duplicate_review_ids_rejected(self):
+        # Unchecked, build_synthetic would pick "r2" as an input of "s"
+        # without saying which of the two reviews it read.
+        reviews = [
+            Review("e", "r1", "clean room " * 30),
+            Review("e", "r2", "clean room " * 30),
+            Review("e", "r2", "noisy bar " * 30),
+            Review("e", "r3", "clean bar " * 30),
+            Review("e", "s", "clean room noisy bar " * 15),
+        ]
+        with pytest.raises(ValueError, match="entity 'e' has duplicate review id 'r2'"):
+            EntityReviewSet("e", reviews)
+
+    def test_load_reviews_names_the_line_of_a_duplicate(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        rows = [{"entity_id": "e", "review_id": "1", "text": t} for t in "ab"]
+        write_jsonl(str(path), rows)
+        message = f"{path} line 2: duplicate review id '1' for entity 'e'"
+        with pytest.raises(ValueError) as excinfo:
+            load_reviews(str(path))
+        assert str(excinfo.value) == message
+
+
 class TestTfidfSimilarity:
     def test_identical_reviews(self):
         r1 = Review("e", "1", "great pool and staff")

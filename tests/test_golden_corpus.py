@@ -14,8 +14,10 @@ and says why in CHANGES.md.
 import json
 import os
 import random
+from collections import Counter
 
 from cosum.cli import main
+from cosum.data import TfidfStats, build_synthetic, load_reviews
 
 from test_golden import GOLDEN_DIR
 
@@ -134,6 +136,22 @@ def test_corpus_covers_pairs_skips_and_no_counterpart_drops():
         reasons = [s["reason"] for s in skips]
         assert reasons and all("eligible candidates" in r for r in reasons), name
     assert len(json.loads(load(EVALUATION))["pairs"]) == len(PAIRS)
+
+
+def test_build_synthetic_vectorises_each_review_at_most_once(tmp_path, monkeypatch):
+    corpus = load_reviews(write_inputs(str(tmp_path))["reviews.jsonl"])
+    calls = Counter()
+    vector = TfidfStats.vector
+
+    def counting_vector(stats, review):
+        calls[review.entity_id, review.review_id] += 1
+        return vector(stats, review)
+
+    monkeypatch.setattr(TfidfStats, "vector", counting_vector)
+    for task in SYNTHETIC:
+        calls.clear()
+        assert build_synthetic(corpus, task, 3, 8).pairs, task
+        assert calls and max(calls.values()) == 1, task
 
 
 if __name__ == "__main__":
