@@ -171,21 +171,21 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     delta_grid = [cfg.delta] if args.delta_grid is None else _parse_grid(args.delta_grid)
     gamma_grid = [cfg.gamma] if args.gamma_grid is None else _parse_grid(args.gamma_grid)
     # Every grid point is checked before anything is decoded or written.
-    grid = itertools.product(delta_grid, gamma_grid)
-    points = [dataclasses.replace(cfg, delta=d, gamma=g) for d, g in grid]
     sweep = args.delta_grid is not None or args.gamma_grid is not None
+    stem, ext = os.path.splitext(args.out)
+    out_paths: Dict[str, DecodeConfig] = {}
+    for delta, gamma in itertools.product(delta_grid, gamma_grid):
+        point = dataclasses.replace(cfg, delta=delta, gamma=gamma)
+        path = f"{stem}.d{delta:g}_g{gamma:g}{ext or '.json'}" if sweep else args.out
+        if out_paths.setdefault(path, point) is not point:
+            raise CliError(f"two grid points would write {path}")
     fingerprint = _sha256(args.model)
     conditions = [condition_pair(lm, corpus[a], corpus[b]) for a, b in pairs]
 
-    for point in points:
+    for out_path, point in out_paths.items():
         records = [
             dataclasses.asdict(summarize_pair(lm, pair, point)) for pair in conditions
         ]
-        if sweep:
-            stem, ext = os.path.splitext(args.out)
-            out_path = f"{stem}.d{point.delta:g}_g{point.gamma:g}{ext or '.json'}"
-        else:
-            out_path = args.out
         _atomic_write_text(out_path, _dump_json(records))
         _write_manifest(
             out_path,
@@ -223,8 +223,10 @@ def _novelty(
     return rates
 
 
-def _checked_record(rec: object, where: str, reference: bool) -> dict:
-    """A generated (side: str) or reference (side: list of str) record."""
+def _add_record(
+    records: Dict[str, dict], rec: object, where: str, reference: bool
+) -> None:
+    """File a checked generated (side: str) or reference (side: list of str) record."""
     if not isinstance(rec, dict):
         raise CliError(f"{where}: expected a JSON object")
     for key in ("pair_id",) + SIDES:
@@ -236,7 +238,9 @@ def _checked_record(rec: object, where: str, reference: bool) -> dict:
                 raise CliError(f"{where}: {key!r} must be a list of strings")
         elif not isinstance(value, str):
             raise CliError(f"{where}: {key!r} must be a string")
-    return rec
+    if rec["pair_id"] in records:
+        raise CliError(f"{where}: repeats pair_id {rec['pair_id']!r}")
+    records[rec["pair_id"]] = rec
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -249,8 +253,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise CliError(f"{args.generated}: expected a JSON list of summary records")
     generated = {}
     for index, rec in enumerate(records, start=1):
-        rec = _checked_record(rec, f"{args.generated} record {index}", reference=False)
-        generated[rec["pair_id"]] = rec
+        _add_record(generated, rec, f"{args.generated} record {index}", reference=False)
     references = {}
     with open(args.references, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -262,8 +265,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CliError(f"{where}: {exc}") from exc
-            rec = _checked_record(rec, where, reference=True)
-            references[rec["pair_id"]] = rec
+            _add_record(references, rec, where, reference=True)
     missing = sorted(set(generated) - set(references))
     if missing:
         raise CliError(f"missing reference ids: {', '.join(missing)}")

@@ -140,9 +140,9 @@ def aggregate_common(
         return comm
     a = top_p_truncate(p_a, top_p)
     b = top_p_truncate(p_b, top_p)
-    candidates = sorted({*comm.entries, *a.entries, *b.entries})
     scores = {
-        t: comm.get(t) + gamma * (a.get(t) + b.get(t)) for t in candidates
+        t: comm.get(t) + gamma * (a.get(t) + b.get(t))
+        for t in {*comm.entries, *a.entries, *b.entries}
     }
     return TokenDist.from_weights(scores)
 

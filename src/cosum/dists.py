@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -14,8 +15,7 @@ class TokenDist:
 
     Entries are strictly positive. Every id in ``[1, size)`` without an
     entry has probability ``tail`` (add-epsilon smoothing gives all unseen
-    ids one value); any other id has probability 0. Construction through
-    ``from_weights`` drops zeros and renormalizes, with no tail.
+    ids one value); any other id has probability 0.
     """
 
     entries: Dict[int, float] = field(default_factory=dict)
@@ -23,15 +23,20 @@ class TokenDist:
     size: int = 0
 
     @staticmethod
-    def from_weights(weights: Dict[int, float]) -> "TokenDist":
-        # Sorted iteration keeps float summation order (and thus the exact
-        # result) independent of how the weights dict was assembled.
-        positive = {t: weights[t] for t in sorted(weights) if weights[t] > 0.0}
-        if not positive:
+    def from_weights(
+        weights: Dict[int, float], tail: float = 0.0, size: int = 0
+    ) -> "TokenDist":
+        """Drop zeros and normalize, with ``tail`` on each of the n ids in
+        [1, size) left without a weight. fsum rounds the total once (the tail
+        enters as tail * 2**k per set bit k of n), so all orders and Pythons agree."""
+        positive = {t: w for t, w in weights.items() if w > 0.0}
+        n = size - 1 - len(positive) if tail else 0
+        bits = [tail * (1 << k) for k in range(n.bit_length()) if n >> k & 1]
+        total = math.fsum([*positive.values(), *bits])
+        if not total:
             return TokenDist({})
-        # Version-dependent: sum() of floats is compensated from Python 3.12 on.
-        total = sum(positive.values())
-        return TokenDist({t: w / total for t, w in positive.items()})
+        entries = {t: w / total for t, w in positive.items()}
+        return TokenDist(entries, tail / total, size)
 
     @property
     def implicit(self) -> bool:

@@ -155,19 +155,12 @@ class CacheInterpolatedLM:
         if self.lam == 0.0:
             return background
         cache = condition.next_dist(prefix)
-        lam = self.lam
-        # The normaliser adds every id's weight in ascending id order, as a
-        # dense from_weights would, so the result is the same to the bit.
-        tail = (1.0 - lam) * background.tail
-        weights = [tail] * background.size
-        weights[BOS_ID] = 0.0
-        support = sorted({*background.entries, *cache.entries})
-        for t in support:
-            weights[t] = lam * cache.get(t) + (1.0 - lam) * background.get(t)
-        # Version-dependent like from_weights; metrics.fold_sum is ~6x slower here.
-        total = sum(weights)
-        entries = {t: weights[t] / total for t in support if weights[t] > 0.0}
-        return TokenDist(entries, tail / total, background.size)
+        weights = {
+            t: self.lam * cache.get(t) + (1.0 - self.lam) * background.get(t)
+            for t in {*background.entries, *cache.entries}
+        }
+        tail = (1.0 - self.lam) * background.tail
+        return TokenDist.from_weights(weights, tail, background.size)
 
 
 def train_model(

@@ -431,6 +431,14 @@ class TestSummarize:
             (["--gamma-grid", "0.5,inf"], None, None, None, "must be finite and >= 0"),
             ([], None, None, "delta = nan\n", "bad.cfg: delta, gamma and length_penalty must be"),
             ([], None, None, "gamma = inf\n", "bad.cfg: delta, gamma and length_penalty must be"),
+            (
+                ["--delta-grid", "0.1234567,0.1234568"],
+                None,
+                None,
+                None,
+                "/out.d0.123457_g0.5.json\n",
+            ),
+            (["--gamma-grid", "0.5,0.50"], None, None, None, "two grid points would write"),
         ],
         ids=[
             "empty-delta-grid",
@@ -474,6 +482,8 @@ class TestSummarize:
             "gamma-grid-inf",
             "config-delta-nan",
             "config-gamma-inf",
+            "delta-grid-points-share-a-path",
+            "gamma-grid-repeats-a-value",
         ],
     )
     def test_bad_input_is_one_error_line(
@@ -700,6 +710,23 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+
+    @pytest.mark.parametrize("repeated", ["generated", "references"])
+    def test_repeated_pair_id_is_one_error_line(self, tmp_path, capsys, repeated):
+        gen_path, records = self.make_generated(tmp_path)
+        references = [self.REFERENCE]
+        if repeated == "generated":
+            gen_path.write_text(json.dumps(records * 2))
+            named = f"{gen_path} record 2: repeats pair_id 'harbor_hotel|garden_inn'"
+        else:
+            references *= 2
+            named = "refs.jsonl line 2: repeats pair_id 'harbor_hotel|garden_inn'"
+        text = "".join(json.dumps(r) + "\n" for r in references)
+        assert self.evaluate(tmp_path, gen_path, text) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize(
         "changes,with_reviews,named",

@@ -2,9 +2,12 @@
 
 The reference is the dense formulation, equation by equation: the
 background model lists every id but BOS, and the interpolation mixes the
-two models over that full list before ``from_weights`` normalizes it.
-The sparse path must give the same floats, not merely close ones.
+two models over that full list and divides by its ``math.fsum``. It
+shares no normaliser with the code under test. The sparse path must give
+the same floats, not merely close ones.
 """
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +38,8 @@ def reference_next_dist(lm, prefix, texts):
         t: lam * cache.get(t) + (1.0 - lam) * p
         for t, p in background.entries.items()
     }
-    return TokenDist.from_weights(combined)
+    total = math.fsum(combined.values())
+    return TokenDist({t: w / total for t, w in combined.items() if w > 0.0})
 
 
 def assert_matches_reference(lm, prefixes, texts):
@@ -80,6 +84,35 @@ def test_sparse_matches_dense_reference(
     size = len(lm.vocabulary)
     prefixes = [tuple(1 + t % (size - 1) for t in raw) for raw in raw_prefixes]
     assert_matches_reference(lm, prefixes, cond)
+
+
+# Enough words that the number of tail ids has several set bits.
+MANY_WORDS = tuple(f"w{i}" for i in range(300))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_words=st.integers(min_value=20, max_value=len(MANY_WORDS)),
+    picks=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=40),
+    order=st.integers(min_value=1, max_value=3),
+    lam=st.sampled_from((0.3, 0.7)),
+    eps=st.sampled_from((0.1, 1e-4)),
+    raw_prefixes=st.lists(
+        st.lists(st.integers(min_value=1, max_value=10**6), max_size=3),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_sparse_matches_dense_reference_over_a_large_vocabulary(
+    n_words, picks, order, lam, eps, raw_prefixes
+):
+    words = MANY_WORDS[:n_words]
+    picked = [words[i % n_words] for i in picks]
+    lm = train_model([" ".join(words), " ".join(picked)], order=order, lam=lam, eps=eps)
+    size = len(lm.vocabulary)
+    prefixes = [tuple(1 + t % (size - 1) for t in raw) for raw in raw_prefixes]
+    half = len(picked) // 2 + 1
+    assert_matches_reference(lm, prefixes, [" ".join(picked[:half]), "qq " + words[-1]])
 
 
 def test_every_id_explicit_with_a_positive_tail():

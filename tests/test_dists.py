@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,6 +30,41 @@ def test_from_weights_drops_zeros_and_normalizes():
     assert set(d.entries) == {1, 3}
     assert sums_to_one(d)
     assert d.get(3) == pytest.approx(0.75)
+
+
+def test_from_weights_normalizes_by_the_exact_sum():
+    weights = {1: 1e16, 2: 1.0, 3: 1.0}
+    total = math.fsum(weights.values())
+    assert total == 1e16 + 2.0 != 1e16 + 1.0 + 1.0
+    d = TokenDist.from_weights(weights)
+    assert d.entries == {t: w / total for t, w in weights.items()}
+
+
+def test_from_weights_is_independent_of_insertion_order():
+    weights = {1: 0.1, 2: 0.2, 3: 0.3}
+    assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+    forward = TokenDist.from_weights(weights)
+    backward = TokenDist.from_weights(dict(reversed(weights.items())))
+    assert forward == backward
+    assert forward.entries == {t: w / 0.6 for t, w in weights.items()}
+
+
+@given(
+    st.dictionaries(
+        st.integers(min_value=1, max_value=50),
+        st.floats(min_value=0.0, max_value=1.0),
+        max_size=8,
+    ),
+    st.floats(min_value=1e-9, max_value=1.0),
+    st.integers(min_value=51, max_value=5000),
+)
+def test_tail_normalizes_like_the_dense_list(weights, tail, size):
+    d = TokenDist.from_weights(weights, tail, size)
+    # A zero weight is dropped, so its id takes the tail like an unlisted one.
+    dense = {t: weights.get(t) or tail for t in range(1, size)}
+    total = math.fsum(dense.values())
+    assert d.tail == tail / total and d.size == size
+    assert d.dense().entries == {t: w / total for t, w in dense.items()}
 
 
 def test_hand_truncation():

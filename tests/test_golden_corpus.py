@@ -19,7 +19,7 @@ from collections import Counter
 from cosum.cli import main
 from cosum.data import TfidfStats, build_synthetic, load_reviews
 
-from test_golden import GOLDEN_DIR
+from goldens import GOLDEN_DIR, differing
 
 SHARED = ["the", "staff", "room", "was", "clean", "and", "quiet", "breakfast", "view"]
 ENTITIES = {
@@ -119,10 +119,7 @@ def run(inputs, outdir):
 
 def test_corpus_outputs_match_golden(tmp_path):
     inputs = write_inputs(str(tmp_path))
-    for produced in run(inputs, str(tmp_path)):
-        with open(os.path.join(GOLDEN_DIR, produced), "rb") as fh:
-            expected = fh.read()
-        assert (tmp_path / produced).read_bytes() == expected, produced
+    assert differing(str(tmp_path), run(inputs, str(tmp_path))) == []
 
 
 def test_corpus_covers_pairs_skips_and_no_counterpart_drops():
