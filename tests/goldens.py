@@ -58,21 +58,30 @@ def differing(outdir, produced):
     return [name for name in produced if read(outdir, name) != read(GOLDEN_DIR, name)]
 
 
-def replay(workdir):
-    """Every decode and corpus golden, rerun in workdir; the files that differ."""
+def replay_decode(workdir):
+    """Every decode golden, rerun in workdir; the files that differ."""
+    corpus, model = train(workdir)
+    decoded = []
+    for name, extra, written in cases():
+        summarize(corpus, model, os.path.join(workdir, name), extra)
+        decoded += written
+    return differing(workdir, decoded)
+
+
+def replay_corpus(workdir):
+    """Every corpus golden, rerun in workdir; the files that differ."""
     import test_golden_corpus  # imports GOLDEN_DIR from here
 
+    inputs = test_golden_corpus.write_inputs(workdir)
+    return differing(workdir, test_golden_corpus.run(inputs, workdir))
+
+
+def replay(workdir):
+    """Every decode and corpus golden, rerun in workdir; the files that differ."""
     decode_dir, corpus_dir = (os.path.join(workdir, d) for d in ("decode", "corpus"))
     os.makedirs(decode_dir)
     os.makedirs(corpus_dir)
-    corpus, model = train(decode_dir)
-    decoded = []
-    for name, extra, written in cases():
-        summarize(corpus, model, os.path.join(decode_dir, name), extra)
-        decoded += written
-    inputs = test_golden_corpus.write_inputs(corpus_dir)
-    built = test_golden_corpus.run(inputs, corpus_dir)
-    return differing(decode_dir, decoded) + differing(corpus_dir, built)
+    return replay_decode(decode_dir) + replay_corpus(corpus_dir)
 
 
 if __name__ == "__main__":
