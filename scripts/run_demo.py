@@ -11,10 +11,18 @@ import json
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from cosum.cli import main
-from cosum.sample_corpus import SAMPLE_PAIRS, write_sample_corpus
+
+SAMPLE_REVIEWS = os.path.join(ROOT, "data", "sample_reviews.jsonl")
+SAMPLE_PAIRS = [
+    ("harbor_hotel", "garden_inn"),
+    ("summit_lodge", "lakeside_resort"),
+    ("old_town_suites", "airport_express"),
+    ("vineyard_estate", "desert_oasis"),
+]
 
 
 def cosum(argv):
@@ -25,10 +33,8 @@ def cosum(argv):
 
 def run(outdir="demo_out"):
     os.makedirs(outdir, exist_ok=True)
-    corpus = os.path.join(outdir, "reviews.jsonl")
     model = os.path.join(outdir, "model.json")
-    write_sample_corpus(corpus)
-    cosum(["train", "--reviews", corpus, "--out", model])
+    cosum(["train", "--reviews", SAMPLE_REVIEWS, "--out", model])
 
     pair_flags = []
     for a, b in SAMPLE_PAIRS:
@@ -38,7 +44,7 @@ def run(outdir="demo_out"):
     for label, delta, gamma in (("codec", "1.0", "0.5"), ("base", "0.0", "0.0")):
         gen = os.path.join(outdir, f"generated_{label}.json")
         cosum(
-            ["summarize", "--model", model, "--reviews", corpus]
+            ["summarize", "--model", model, "--reviews", SAMPLE_REVIEWS]
             + pair_flags
             + ["--out", gen, "--delta", delta, "--gamma", gamma]
             + fast

@@ -40,10 +40,14 @@ class CliError(Exception):
 
 
 def _atomic_write_text(path: str, text: str) -> None:
+    """Write path through a temporary file, with the mode open(path, "w") gives."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.chmod(tmp, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -165,7 +169,9 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         for entity_id in parts:
             if entity_id not in corpus:
                 raise CliError(f"unknown entity id: {entity_id}")
-        pairs.append((parts[0], parts[1]))
+        if tuple(parts) in pairs:
+            raise CliError(f"pair {spec!r} is given twice")
+        pairs.append(tuple(parts))
     cfg = _effective_config(args)
 
     delta_grid = [cfg.delta] if args.delta_grid is None else _parse_grid(args.delta_grid)

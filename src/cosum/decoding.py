@@ -11,7 +11,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, Tuple
+from types import SimpleNamespace
+from typing import Callable, Dict, Optional, Tuple
 
 from .data import EntityReviewSet
 from .dists import TokenDist, top_p_truncate
@@ -201,14 +202,24 @@ class Hypothesis:
         return self.logscore / float(len(self.tokens)) ** alpha
 
 
-def beam_decode(step_fn: StepFn, cfg: DecodeConfig, max_len: int) -> Tuple[int, ...]:
+def _masked(dist: TokenDist, prefix: Tuple[int, ...], cfg: DecodeConfig) -> TokenDist:
+    """dist without UNK, and without EOS before min_len, renormalized."""
+    if len(prefix) < cfg.min_len:
+        dist = dist.without(EOS_ID)
+    return dist.without(UNK_ID)
+
+
+def beam_decode(
+    step_fn: StepFn, cfg: DecodeConfig, max_len: int, fallback: Optional[StepFn] = None
+) -> Tuple[int, ...]:
     """Beam search over step_fn's aggregated distributions.
 
     UNK is always masked, and EOS until min_len tokens have been emitted
-    (masked mass is renormalized away). Finished hypotheses are frozen but
-    keep competing on their length-normalized score. Returns the best
-    finished hypothesis, or the best unfinished one if nothing finished
-    within max_len.
+    (masked mass is renormalized away). A step that masking empties is
+    taken from fallback instead, if given, and masked again. Finished
+    hypotheses are frozen but keep competing on their length-normalized
+    score. Returns the best finished hypothesis, or the best unfinished
+    one if nothing finished within max_len.
     """
     alpha = cfg.length_penalty
 
@@ -226,10 +237,9 @@ def beam_decode(step_fn: StepFn, cfg: DecodeConfig, max_len: int) -> Tuple[int, 
             if hyp.finished:
                 pool.append(hyp)
                 continue
-            dist = step_fn(hyp.tokens)
-            if len(hyp.tokens) < cfg.min_len:
-                dist = dist.without(EOS_ID)
-            dist = dist.without(UNK_ID)
+            dist = _masked(step_fn(hyp.tokens), hyp.tokens, cfg)
+            if not dist.entries and fallback is not None:
+                dist = _masked(fallback(hyp.tokens), hyp.tokens, cfg)
             if not dist.entries:
                 raise ValueError(
                     "empty step distribution: all its mass is on masked"
@@ -317,16 +327,22 @@ def summarize_pair(
 ) -> SummaryTriple:
     """Decode the two contrastive summaries and the common summary.
 
-    `pair` comes from condition_pair on the same lm. A side that cannot be
-    decoded raises ValueError naming the pair and the side.
+    `pair` comes from condition_pair on the same lm. A step that masking
+    empties is recomputed from LM distributions masked the same way. A
+    side that cannot be decoded raises ValueError naming the pair and the
+    side.
     """
     contrastive_side, common_side = DECODE_MODES[cfg.mode]
+    masked_lm = SimpleNamespace(
+        next_dist=lambda prefix, cond: _masked(lm.next_dist(prefix, cond), prefix, cfg)
+    )
 
     def decode(name: str, side, x, y, max_len: int) -> str:
+        def step(model) -> StepFn:
+            return lambda prefix: side(model, prefix, x, y, pair.both, cfg)
+
         try:
-            tokens = beam_decode(
-                lambda prefix: side(lm, prefix, x, y, pair.both, cfg), cfg, max_len
-            )
+            tokens = beam_decode(step(lm), cfg, max_len, step(masked_lm))
         except ValueError as exc:
             raise ValueError(f"pair {pair.pair_id}, {name}: {exc}") from exc
         return lm.vocabulary.decode(tokens)

@@ -15,7 +15,7 @@ from collections import Counter
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .dists import TokenDist
-from .vocab import BOS_ID, EOS_ID, Vocabulary
+from .vocab import BOS, BOS_ID, EOS, EOS_ID, UNK, Vocabulary
 
 Prefix = Tuple[int, ...]
 Counts = Dict[Prefix, Dict[int, int]]
@@ -222,13 +222,14 @@ def _count_entry(
     return (ctx, counter) if valid else None
 
 
+_VOCABULARY = f"a list of distinct strings other than {BOS}, {EOS} and {UNK}"
 _INT = ("an integer", lambda v: type(v) is int)
 _NUMBER = ("a number", lambda v: type(v) in (int, float))
 # Model file key -> (what its value must be, check). JSON loads exact
 # types, so `type(v) is int` keeps true and false out of the integers.
 _MODEL_FIELDS = {
     "vocabulary": (
-        "a list of strings",
+        _VOCABULARY,
         lambda v: type(v) is list and all(type(t) is str for t in v),
     ),
     "order": _INT,
@@ -257,6 +258,9 @@ def load_model(path: str) -> CacheInterpolatedLM:
         if not valid(payload[key]):
             raise ValueError(f"{path}: {key!r} must be {kind}")
     vocabulary = Vocabulary(payload["vocabulary"])
+    # Vocabulary merges a repeated or reserved token, shifting every later id.
+    if len(vocabulary) != 3 + len(payload["vocabulary"]):
+        raise ValueError(f"{path}: 'vocabulary' must be {_VOCABULARY}")
     try:
         background = NGramLM(payload["order"], vocabulary, payload["eps"])
         lm = CacheInterpolatedLM(background, payload["cache_order"], payload["lambda"])

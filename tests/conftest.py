@@ -1,18 +1,32 @@
 import os
+import runpy
 
 import hypothesis
 import pytest
 
+from cosum.data import load_reviews
 from cosum.lm import train_model
-from cosum.sample_corpus import build_sample_corpus
+
+from goldens import SAMPLE_REVIEWS, TESTS
 
 hypothesis.settings.register_profile("ci", deadline=None)
 hypothesis.settings.load_profile(os.getenv("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")
+def demo():
+    """scripts/run_demo.py's globals: SAMPLE_PAIRS, run and cosum."""
+    return runpy.run_path(os.path.join(TESTS, "..", "scripts", "run_demo.py"))
+
+
+@pytest.fixture(scope="session")
+def corpus_path():
+    return SAMPLE_REVIEWS
+
+
+@pytest.fixture(scope="session")
 def sample_corpus():
-    return build_sample_corpus()
+    return load_reviews(SAMPLE_REVIEWS)
 
 
 @pytest.fixture(scope="session")

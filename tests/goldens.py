@@ -15,9 +15,10 @@ import tempfile
 
 from cosum.cli import main
 from cosum.decoding import ALL_MODES
-from cosum.sample_corpus import write_sample_corpus
 
-GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+GOLDEN_DIR = os.path.join(TESTS, "golden")
+SAMPLE_REVIEWS = os.path.join(TESTS, "..", "data", "sample_reviews.jsonl")
 PAIR = "airport_express,vineyard_estate"
 SHORT = [
     "--beam-width", "2",
@@ -30,15 +31,13 @@ SWEEP_POINTS = ("d0_g0", "d0_g0.5", "d1_g0", "d1_g0.5")
 
 
 def train(workdir, *flags):
-    corpus = os.path.join(workdir, "reviews.jsonl")
     model = os.path.join(workdir, "model.json")
-    write_sample_corpus(corpus)
-    assert main(["train", "--reviews", corpus, "--out", model, *flags]) == 0
-    return corpus, model
+    assert main(["train", "--reviews", SAMPLE_REVIEWS, "--out", model, *flags]) == 0
+    return model
 
 
-def summarize(corpus, model, out, extra):
-    argv = ["summarize", "--model", model, "--reviews", corpus, "--pair", PAIR]
+def summarize(model, out, extra):
+    argv = ["summarize", "--model", model, "--reviews", SAMPLE_REVIEWS, "--pair", PAIR]
     assert main(argv + ["--out", out] + SHORT + extra) == 0
 
 
@@ -60,10 +59,10 @@ def differing(outdir, produced):
 
 def replay_decode(workdir):
     """Every decode golden, rerun in workdir; the files that differ."""
-    corpus, model = train(workdir)
+    model = train(workdir)
     decoded = []
     for name, extra, written in cases():
-        summarize(corpus, model, os.path.join(workdir, name), extra)
+        summarize(model, os.path.join(workdir, name), extra)
         decoded += written
     return differing(workdir, decoded)
 

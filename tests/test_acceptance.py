@@ -32,7 +32,6 @@ from cosum.metrics import (
     rouge_l,
     rouge_n,
 )
-from cosum.sample_corpus import SAMPLE_PAIRS, write_sample_corpus
 from cosum.vocab import EOS_ID, tokenize_text
 
 from test_beam import count_sequences, exhaustive_best, make_toy_step_fn
@@ -184,11 +183,11 @@ def test_criterion_5_metric_oracles():
     report("5 metric oracles match hand computations")
 
 
-def test_criterion_6_directional_codecoding(trained_lm, corpus_by_entity):
+def test_criterion_6_directional_codecoding(trained_lm, corpus_by_entity, demo):
     start = time.monotonic()
     pairs = [
         condition_pair(trained_lm, corpus_by_entity[a], corpus_by_entity[b])
-        for a, b in SAMPLE_PAIRS
+        for a, b in demo["SAMPLE_PAIRS"]
     ]
 
     def run(cfg):
@@ -253,12 +252,11 @@ def test_criterion_7_synthetic_oracle():
     report("7 synthetic-pair selection equals brute-force subset oracle")
 
 
-def test_criterion_8_end_to_end_determinism(tmp_path):
-    corpus = tmp_path / "reviews.jsonl"
-    write_sample_corpus(str(corpus))
+def test_criterion_8_end_to_end_determinism(tmp_path, corpus_path, demo):
+    pairs = demo["SAMPLE_PAIRS"][:2]
     refs = tmp_path / "refs.jsonl"
     with open(refs, "w") as fh:
-        for a, b in SAMPLE_PAIRS[:2]:
+        for a, b in pairs:
             fh.write(
                 json.dumps(
                     {
@@ -276,47 +274,13 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
         model = outdir / "model.json"
         gen = outdir / "generated.json"
         metrics = outdir / "metrics.json"
-        assert main(["train", "--reviews", str(corpus), "--out", str(model)]) == 0
-        assert (
-            main(
-                [
-                    "summarize",
-                    "--model",
-                    str(model),
-                    "--reviews",
-                    str(corpus),
-                    "--pair",
-                    f"{SAMPLE_PAIRS[0][0]},{SAMPLE_PAIRS[0][1]}",
-                    "--pair",
-                    f"{SAMPLE_PAIRS[1][0]},{SAMPLE_PAIRS[1][1]}",
-                    "--out",
-                    str(gen),
-                    "--min-len",
-                    "3",
-                    "--max-len-contrastive",
-                    "25",
-                    "--max-len-common",
-                    "15",
-                ]
-            )
-            == 0
-        )
-        assert (
-            main(
-                [
-                    "evaluate",
-                    "--generated",
-                    str(gen),
-                    "--references",
-                    str(refs),
-                    "--reviews",
-                    str(corpus),
-                    "--out",
-                    str(metrics),
-                ]
-            )
-            == 0
-        )
+        assert main(["train", "--reviews", corpus_path, "--out", str(model)]) == 0
+        pair_flags = [flag for a, b in pairs for flag in ("--pair", f"{a},{b}")]
+        summarize = ["summarize", "--model", str(model), "--reviews", corpus_path]
+        lengths = ["--min-len", "3", "--max-len-contrastive", "25", "--max-len-common", "15"]
+        assert main(summarize + pair_flags + ["--out", str(gen)] + lengths) == 0
+        evaluate = ["evaluate", "--generated", str(gen), "--references", str(refs)]
+        assert main(evaluate + ["--reviews", corpus_path, "--out", str(metrics)]) == 0
         return [model, gen, metrics]
 
     first = run(tmp_path / "run1")

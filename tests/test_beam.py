@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cosum.decoding import DecodeConfig, beam_decode
 from cosum.dists import TokenDist
-from cosum.vocab import EOS_ID
+from cosum.vocab import EOS_ID, UNK_ID
 
 
 def make_toy_step_fn(rng, vocab_ids, max_len):
@@ -131,6 +131,17 @@ def test_eos_only_distribution_before_min_len_raises():
     cfg = DecodeConfig(min_len=2, max_len_contrastive=5, max_len_common=5)
     with pytest.raises(ValueError, match="empty step distribution"):
         beam_decode(lambda prefix: dist, cfg, 5)
+
+
+def test_step_emptied_by_masking_comes_from_the_fallback():
+    # Before min_len the nucleus {EOS: 1} masks to nothing; the fallback's
+    # step is masked too, so its <unk> goes.
+    eos_only, unk_only = TokenDist({EOS_ID: 1.0}), TokenDist({UNK_ID: 1.0})
+    fallback = TokenDist({UNK_ID: 0.5, 3: 0.5})
+    cfg = DecodeConfig(min_len=2, max_len_contrastive=5, max_len_common=5)
+    assert beam_decode(lambda p: eos_only, cfg, 5, lambda p: fallback) == (3, 3, EOS_ID)
+    with pytest.raises(ValueError, match="empty step distribution"):
+        beam_decode(lambda p: eos_only, cfg, 5, lambda p: unk_only)
 
 
 def test_deterministic():

@@ -1,18 +1,11 @@
 import json
+import os
 
 import pytest
 
 from cosum.cli import main
 from cosum.metrics import novel_ngram_rate
-from cosum.sample_corpus import write_sample_corpus
 from cosum.vocab import tokenize_text
-
-
-@pytest.fixture(scope="module")
-def corpus_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("corpus") / "reviews.jsonl"
-    write_sample_corpus(str(path))
-    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +70,18 @@ class TestTrain:
             manifest = json.load(fh)
         assert manifest["command"] == "train"
         assert manifest["model_fingerprint"]
+
+    def test_atomic_writes_get_the_mode_of_a_plain_open(self, corpus_path, tmp_path):
+        # save_model opens the model file plainly; the manifest is written
+        # through a temporary file and renamed.
+        out = tmp_path / "m.json"
+        umask = os.umask(0o022)
+        try:
+            assert main(["train", "--reviews", corpus_path, "--out", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        manifest = tmp_path / "m.json.manifest.json"
+        assert manifest.stat().st_mode == out.stat().st_mode
 
     def test_retrain_identical_fingerprint(self, corpus_path, tmp_path):
         out1 = tmp_path / "m1.json"
@@ -181,46 +186,14 @@ class TestBuildSynthetic:
 
 
 class TestSummarize:
-    def run_summarize(self, model_path, corpus_path, out, extra=()):
-        return main(
-            [
-                "summarize",
-                "--model",
-                model_path,
-                "--reviews",
-                corpus_path,
-                "--pair",
-                "harbor_hotel,garden_inn",
-                "--out",
-                str(out),
-                *SUMMARIZE_FAST,
-                *extra,
-            ]
-        )
+    def run_summarize(self, model_path, corpus_path, out, extra=(), pair="harbor_hotel,garden_inn"):
+        argv = ["summarize", "--model", str(model_path), "--reviews", str(corpus_path)]
+        return main(argv + ["--pair", pair, "--out", str(out), *SUMMARIZE_FAST, *extra])
 
-    def test_identical_pair_with_zero_tradeoffs(
-        self, model_path, corpus_path, tmp_path
-    ):
+    def test_identical_pair_with_zero_tradeoffs(self, model_path, corpus_path, tmp_path):
         out = tmp_path / "same.json"
-        code = main(
-            [
-                "summarize",
-                "--model",
-                model_path,
-                "--reviews",
-                corpus_path,
-                "--pair",
-                "harbor_hotel,harbor_hotel",
-                "--out",
-                str(out),
-                "--delta",
-                "0",
-                "--gamma",
-                "0",
-                *SUMMARIZE_FAST,
-            ]
-        )
-        assert code == 0
+        zero = ["--delta", "0", "--gamma", "0"]
+        assert self.run_summarize(model_path, corpus_path, out, zero, "harbor_hotel,harbor_hotel") == 0
         (record,) = json.loads(out.read_text())
         assert record["contrastive_a"] == record["contrastive_b"]
 
@@ -228,93 +201,55 @@ class TestSummarize:
         out_ab = tmp_path / "ab.json"
         out_ba = tmp_path / "ba.json"
         assert self.run_summarize(model_path, corpus_path, out_ab) == 0
-        assert (
-            main(
-                [
-                    "summarize",
-                    "--model",
-                    model_path,
-                    "--reviews",
-                    corpus_path,
-                    "--pair",
-                    "garden_inn,harbor_hotel",
-                    "--out",
-                    str(out_ba),
-                    *SUMMARIZE_FAST,
-                ]
-            )
-            == 0
-        )
+        assert self.run_summarize(model_path, corpus_path, out_ba, (), "garden_inn,harbor_hotel") == 0
         (ab,) = json.loads(out_ab.read_text())
         (ba,) = json.loads(out_ba.read_text())
         assert ab["contrastive_a"] == ba["contrastive_b"]
         assert ab["contrastive_b"] == ba["contrastive_a"]
         assert ab["common"] == ba["common"]
 
+    def decode_unseen(self, model_path, unseen_corpus_path, out, flags):
+        pair = "airport_express,zz_unseen"
+        return self.run_summarize(model_path, unseen_corpus_path, out, flags, pair)
+
     def test_unseen_words_never_emit_unk(self, model_path, unseen_corpus_path, tmp_path):
         out = tmp_path / "unseen.json"
-        code = main(
-            [
-                "summarize",
-                "--model",
-                model_path,
-                "--reviews",
-                unseen_corpus_path,
-                "--pair",
-                "airport_express,zz_unseen",
-                "--out",
-                str(out),
-                "--max-len-contrastive",
-                "12",
-                "--max-len-common",
-                "12",
-                "--min-len",
-                "5",
-            ]
-        )
-        assert code == 0
+        flags = ["--max-len-contrastive", "12", "--max-len-common", "12", "--min-len", "5"]
+        assert self.decode_unseen(model_path, unseen_corpus_path, out, flags) == 0
+        (record,) = json.loads(out.read_text())
+        for side in ("contrastive_a", "contrastive_b", "common"):
+            assert record[side] and "<unk>" not in record[side]
+
+    def test_unk_only_nucleus_decodes_without_unk(self, model_path, unseen_corpus_path, tmp_path):
+        # At top-p 0.5 zz_unseen's nucleus holds only <unk>; masking empties
+        # the step, which then comes from LM distributions without <unk>.
+        out = tmp_path / "unseen.json"
+        assert self.decode_unseen(model_path, unseen_corpus_path, out, ["--top-p", "0.5"]) == 0
         (record,) = json.loads(out.read_text())
         for side in ("contrastive_a", "contrastive_b", "common"):
             assert record[side] and "<unk>" not in record[side]
 
     def test_unknown_entity_named_in_error(self, model_path, corpus_path, tmp_path, capsys):
-        code = main(
-            [
-                "summarize",
-                "--model",
-                model_path,
-                "--reviews",
-                corpus_path,
-                "--pair",
-                "harbor_hotel,atlantis",
-                "--out",
-                str(tmp_path / "x.json"),
-            ]
-        )
-        assert code == 1
+        out = tmp_path / "x.json"
+        assert self.run_summarize(model_path, corpus_path, out, (), "harbor_hotel,atlantis") == 1
         assert "atlantis" in capsys.readouterr().err
 
-    def test_unk_only_nucleus_names_pair_and_side(
-        self, model_path, unseen_corpus_path, tmp_path, capsys
+    def test_repeated_pair_is_one_error_line(self, model_path, corpus_path, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        again = ["--pair", "harbor_hotel, garden_inn"]
+        assert self.run_summarize(model_path, corpus_path, out, again) == 1
+        assert capsys.readouterr().err == "error: pair 'harbor_hotel, garden_inn' is given twice\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_side_with_only_masked_mass_names_pair_and_side(
+        self, unseen_corpus_path, corpus_path, tmp_path, capsys
     ):
+        # With lambda 1 the model is the cache alone: zz_unseen's reviews give
+        # mass only to <unk> and EOS, so the masked LM is empty too.
+        cache_only = tmp_path / "cache_only.json"
+        assert main(["train", "--reviews", corpus_path, "--out", str(cache_only), "--lam", "1"]) == 0
         out = tmp_path / "unseen.json"
-        code = main(
-            [
-                "summarize",
-                "--model",
-                model_path,
-                "--reviews",
-                unseen_corpus_path,
-                "--pair",
-                "airport_express,zz_unseen",
-                "--out",
-                str(out),
-                "--top-p",
-                "0.5",
-                *SUMMARIZE_FAST,
-            ]
-        )
-        assert code == 1
+        assert self.decode_unseen(cache_only, unseen_corpus_path, out, []) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(
@@ -358,6 +293,8 @@ class TestSummarize:
             ([], model(eps="1"), None, None, "bad_model.json: 'eps' must be a number"),
             ([], model(**{"lambda": None}), None, None, "bad_model.json: 'lambda' must be a"),
             ([], model(vocabulary=[1, 2]), None, None, "bad_model.json: 'vocabulary' must be"),
+            ([], model(vocabulary=["ok", "ok"]), None, None, "'vocabulary' must be a list of distinct"),
+            ([], model(vocabulary=["ok", "<unk>"]), None, None, "'vocabulary' must be a list of dist"),
             ([], model(counts={}), None, None, "bad_model.json: 'counts' must be a list"),
             ([], model(counts=[[1]]), None, None, "bad_model.json: 'counts' entry 1 must be"),
             ([], model(counts=[[[], [[1]]]]), None, None, "bad_model.json: 'counts' entry 1"),
@@ -459,6 +396,8 @@ class TestSummarize:
             "model-eps-not-number",
             "model-lambda-null",
             "model-vocabulary-not-strings",
+            "model-vocabulary-repeats-a-token",
+            "model-vocabulary-holds-a-reserved-token",
             "model-counts-not-list",
             "model-counts-entry-short",
             "model-counts-item-not-pair",

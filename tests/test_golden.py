@@ -36,23 +36,22 @@ def trained(tmp_path_factory):
     "name,extra,written", [pytest.param(*case, id=case[0]) for case in cases()]
 )
 def test_summaries_match_golden(trained, tmp_path, name, extra, written):
-    corpus, model = trained
-    summarize(corpus, model, str(tmp_path / name), extra)
+    summarize(trained, str(tmp_path / name), extra)
     assert differing(str(tmp_path), written) == []
 
 
 @pytest.mark.parametrize("order", sorted(MODEL_SHA256))
 def test_model_file_matches_pinned_digest(tmp_path, order):
-    _, model = train(str(tmp_path), "--order", str(order))
+    model = train(str(tmp_path), "--order", str(order))
     with open(model, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == MODEL_SHA256[order]
 
 
 def record(workdir):
-    corpus, model = train(workdir)
+    model = train(workdir)
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name, extra, _ in cases():
-        summarize(corpus, model, os.path.join(GOLDEN_DIR, name), extra)
+        summarize(model, os.path.join(GOLDEN_DIR, name), extra)
     for path in os.listdir(GOLDEN_DIR):
         if path.endswith(".manifest.json"):
             os.unlink(os.path.join(GOLDEN_DIR, path))
