@@ -15,7 +15,7 @@ from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__
-from .data import build_synthetic, load_reviews
+from .data import EntityReviewSet, build_synthetic, load_reviews
 from .decoding import (
     CONFIG_TYPES,
     DecodeConfig,
@@ -212,13 +212,15 @@ def _mean(values: Sequence[float]) -> Optional[float]:
 
 
 def _novelty(
-    tokens: Dict[str, List[str]], source_a: List[str], source_b: List[str]
+    tokens: Dict[str, List[str]], a: EntityReviewSet, b: EntityReviewSet
 ) -> Dict[str, Dict[str, Optional[float]]]:
-    """Novel 1- and 2-gram rates of each side against its source.
+    """Novel 1- and 2-gram rates of each side against its entities' reviews.
 
-    No token spans a joining space, so the common side's source is
-    source_a + source_b: both sources' n-grams plus the junction bigram.
+    No token spans a joining space, so an entity's source is its reviews'
+    tokens back to back, and the common side's source is source_a +
+    source_b: both sources' n-grams plus the junction bigram.
     """
+    source_a, source_b = ([t for r in e.reviews for t in r.tokens] for e in (a, b))
     rates: Dict[str, Dict[str, Optional[float]]] = {side: {} for side in SIDES}
     for n in (1, 2):
         grams_a, grams_b = set(ngrams(source_a, n)), set(ngrams(source_b, n))
@@ -311,11 +313,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 for entity_id in (entity_a, entity_b):
                     if entity_id not in corpus:
                         raise CliError(f"unknown entity id: {entity_id}")
-                entry["novelty"] = _novelty(
-                    tokens,
-                    tokenize_text(" ".join(corpus[entity_a].texts)),
-                    tokenize_text(" ".join(corpus[entity_b].texts)),
-                )
+                entry["novelty"] = _novelty(tokens, corpus[entity_a], corpus[entity_b])
         except (CliError, ValueError) as exc:
             raise CliError(f"{args.generated}: pair {pair_id}: {exc}") from exc
         per_pair[pair_id] = entry

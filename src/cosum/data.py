@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .metrics import fold_sum
 from .vocab import tokenize_text
@@ -25,9 +27,10 @@ class Review:
         if not self.text:
             raise ValueError("review text must be non-empty")
 
-    @property
-    def length(self) -> int:
-        return len(tokenize_text(self.text))
+    @functools.cached_property
+    def tokens(self) -> Tuple[str, ...]:
+        """The text's tokens, on first use; reviews share equal token strings."""
+        return tuple(map(sys.intern, tokenize_text(self.text)))
 
 
 @dataclass
@@ -59,8 +62,8 @@ class EntityReviewSet:
 def load_reviews(path: str) -> List[EntityReviewSet]:
     """Load a JSONL review corpus, grouped by entity in input order.
 
-    Each line is an object with entity_id / review_id / text. Malformed
-    lines and duplicate review ids within an entity are errors.
+    Each line is an object with string entity_id / review_id / text.
+    Malformed lines and duplicate review ids within an entity are errors.
     """
     grouped: Dict[str, List[Review]] = {}
     seen: set = set()
@@ -78,9 +81,12 @@ def load_reviews(path: str) -> List[EntityReviewSet]:
             for key in ("entity_id", "review_id", "text"):
                 if key not in obj:
                     raise ValueError(f"{path} line {lineno}: missing field {key!r}")
-            if not isinstance(obj["text"], str):
-                raise ValueError(f"{path} line {lineno}: 'text' must be a string")
-            review = Review(str(obj["entity_id"]), str(obj["review_id"]), obj["text"])
+                if not isinstance(obj[key], str):
+                    raise ValueError(f"{path} line {lineno}: {key!r} must be a string")
+            try:
+                review = Review(obj["entity_id"], obj["review_id"], obj["text"])
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from exc
             dup_key = (review.entity_id, review.review_id)
             if dup_key in seen:
                 raise ValueError(
@@ -97,9 +103,7 @@ class TfidfStats:
 
     def __init__(self, reviews: Sequence[Review]) -> None:
         self.n_docs = len(reviews)
-        self.df: Counter = Counter()
-        for r in reviews:
-            self.df.update(set(tokenize_text(r.text)))
+        self.df: Counter = Counter(t for r in reviews for t in set(r.tokens))
 
     @classmethod
     def from_corpus(cls, corpus: Sequence[EntityReviewSet]) -> "TfidfStats":
@@ -109,7 +113,7 @@ class TfidfStats:
         return math.log((1 + self.n_docs) / (1 + self.df.get(term, 0))) + 1.0
 
     def vector(self, review: Review) -> Dict[str, float]:
-        tf = Counter(tokenize_text(review.text))
+        tf = Counter(review.tokens)
         vec = {term: count * self.idf(term) for term, count in tf.items()}
         norm = math.sqrt(fold_sum(w * w for w in vec.values()))
         if norm == 0.0:
@@ -189,11 +193,11 @@ def build_synthetic(
     # Pseudo-summary vectors, kept for the common task's counterpart search.
     summary_vectors: Dict[Review, Dict[str, float]] = {}
     for entity in corpus:
-        length = {r: r.length for r in entity.reviews}
         # The eligible inputs' vectors, in review order; dropped per entity.
-        vectors = {c: stats.vector(c) for c, m in length.items() if lo_in <= m <= hi_in}
+        eligible = (c for c in entity.reviews if lo_in <= len(c.tokens) <= hi_in)
+        vectors = {c: stats.vector(c) for c in eligible}
         for r in entity.reviews:
-            if not lo_sum <= length[r] <= hi_sum:
+            if not lo_sum <= len(r.tokens) <= hi_sum:
                 continue
             candidates = [c for c in vectors if c.review_id != r.review_id]
             if len(candidates) < n:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections import Counter
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .dists import TokenDist
@@ -33,7 +32,8 @@ def count_ngrams(sequences: Iterable[Sequence[int]], order: int) -> Counts:
     for seq in sequences:
         padded = (*_context((), ctx_len), *seq, EOS_ID)
         for i in range(ctx_len, len(padded)):
-            counts.setdefault(padded[i - ctx_len : i], Counter())[padded[i]] += 1
+            row = counts.setdefault(padded[i - ctx_len : i], {})
+            row[padded[i]] = row.get(padded[i], 0) + 1
     return counts
 
 
@@ -100,7 +100,7 @@ class CacheModel:
 
     @functools.cached_property
     def counts(self) -> Dict[int, Counts]:
-        """counts[k] maps length-(k-1) contexts to next-token counters."""
+        """counts[k] maps length-(k-1) contexts to next-token counts."""
         sequences = [self.vocabulary.encode(text) for text in self.texts]
         return {k: count_ngrams(sequences, k) for k in range(1, self.order + 1)}
 

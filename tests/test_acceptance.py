@@ -233,15 +233,15 @@ def test_criterion_7_synthetic_oracle():
             n = 3
             result = build_synthetic(corpus, task, n=n, k=1000)
             for pair in result.pairs:
-                assert lo <= pair.pseudo_summary.length <= hi
-                assert all(50 <= r.length <= 150 for r in pair.inputs)
+                assert lo <= len(pair.pseudo_summary.tokens) <= hi
+                assert all(50 <= len(r.tokens) <= 150 for r in pair.inputs)
                 candidates = [
                     c
                     for es in corpus
                     if es.entity_id == pair.entity_id
                     for c in es.reviews
                     if c.review_id != pair.pseudo_summary.review_id
-                    and 50 <= c.length <= 150
+                    and 50 <= len(c.tokens) <= 150
                 ]
                 oracle_ids, oracle_sum = brute_force_top_subset(
                     pair.pseudo_summary, candidates, n, stats

@@ -279,6 +279,27 @@ class TestSummarize:
             (
                 [],
                 None,
+                REVIEW + '{"entity_id": 1, "review_id": "2", "text": "ok"}\n',
+                None,
+                "bad.jsonl line 2: 'entity_id' must be a string",
+            ),
+            (
+                [],
+                None,
+                REVIEW + '{"entity_id": "x", "review_id": null, "text": "ok"}\n',
+                None,
+                "bad.jsonl line 2: 'review_id' must be a string",
+            ),
+            (
+                [],
+                None,
+                REVIEW + '{"entity_id": "x", "review_id": "2", "text": ""}\n',
+                None,
+                "bad.jsonl line 2: review text must be non-empty",
+            ),
+            (
+                [],
+                None,
                 None,
                 "delta = abc\n",
                 "bad.cfg line 1: delta: could not convert string to float: 'abc'",
@@ -385,6 +406,9 @@ class TestSummarize:
             "model-no-vocabulary",
             "review-not-object",
             "review-text-not-string",
+            "review-entity-id-not-string",
+            "review-id-null",
+            "review-text-empty",
             "config-value-not-float",
             "config-value-not-int",
             "config-line-not-key-value",

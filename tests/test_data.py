@@ -102,6 +102,15 @@ class TestEntityReviewSet:
         assert str(excinfo.value) == message
 
 
+def test_equal_review_tokens_are_one_string():
+    # Reviews keep their tokens for as long as they live; sharing equal
+    # strings keeps a loaded corpus's memory near its vocabulary's.
+    a = Review("e", "1", "clean room").tokens
+    b = Review("e", "2", "ROOM, clean").tokens
+    assert a == ("clean", "room") and b == ("room", ",", "clean")
+    assert a[0] is b[2] and a[1] is b[0]
+
+
 class TestTfidfSimilarity:
     def test_identical_reviews(self):
         r1 = Review("e", "1", "great pool and staff")
@@ -179,12 +188,12 @@ class TestBuildSynthetic:
         checked = 0
         for entity in corpus:
             for r in entity.reviews:
-                if not 15 <= r.length <= 50:
+                if not 15 <= len(r.tokens) <= 50:
                     continue
                 candidates = [
                     c
                     for c in entity.reviews
-                    if c.review_id != r.review_id and 50 <= c.length <= 150
+                    if c.review_id != r.review_id and 50 <= len(c.tokens) <= 150
                 ]
                 if len(candidates) < n:
                     continue
@@ -211,8 +220,8 @@ class TestBuildSynthetic:
         for task, (lo, hi) in (("contrastive", (100, 150)), ("common", (15, 50))):
             result = build_synthetic(corpus, task, n=2, k=50)
             for pair in result.pairs:
-                assert lo <= pair.pseudo_summary.length <= hi
-                assert all(50 <= r.length <= 150 for r in pair.inputs)
+                assert lo <= len(pair.pseudo_summary.tokens) <= hi
+                assert all(50 <= len(r.tokens) <= 150 for r in pair.inputs)
                 assert pair.pseudo_summary.review_id not in {
                     r.review_id for r in pair.inputs
                 }

@@ -16,8 +16,11 @@ import os
 import random
 from collections import Counter
 
+import cosum.cli
+import cosum.data
+import cosum.vocab
 from cosum.cli import main
-from cosum.data import TfidfStats, build_synthetic, load_reviews
+from cosum.data import TfidfStats, load_reviews
 
 from goldens import GOLDEN_DIR, differing
 
@@ -135,20 +138,59 @@ def test_corpus_covers_pairs_skips_and_no_counterpart_drops():
     assert len(json.loads(load(EVALUATION))["pairs"]) == len(PAIRS)
 
 
-def test_build_synthetic_vectorises_each_review_at_most_once(tmp_path, monkeypatch):
-    corpus = load_reviews(write_inputs(str(tmp_path))["reviews.jsonl"])
+def count_review_tokenisations(monkeypatch, texts):
+    """Count, per review text, the tokenize_text calls that read it.
+
+    A call on a longer text, such as reviews joined together, counts for
+    every review text inside it.
+    """
     calls = Counter()
+    tokenize = cosum.vocab.tokenize_text
+
+    def counting_tokenize(text):
+        calls.update(t for t in texts if t in text)
+        return tokenize(text)
+
+    for module in (cosum.vocab, cosum.data, cosum.cli):
+        monkeypatch.setattr(module, "tokenize_text", counting_tokenize)
+    return calls
+
+
+def test_each_command_tokenises_each_review_at_most_once(tmp_path, monkeypatch):
+    inputs = write_inputs(str(tmp_path))
+    texts = {r.text for es in load_reviews(inputs["reviews.jsonl"]) for r in es.reviews}
+    assert len(texts) == sum(len(lengths) for _, lengths in ENTITIES.values())
+    tokenised = count_review_tokenisations(monkeypatch, texts)
+    vectorised = Counter()
     vector = TfidfStats.vector
 
     def counting_vector(stats, review):
-        calls[review.entity_id, review.review_id] += 1
+        vectorised[review.entity_id, review.review_id] += 1
         return vector(stats, review)
 
     monkeypatch.setattr(TfidfStats, "vector", counting_vector)
+    reviews = inputs["reviews.jsonl"]
+
+    def run_counted(argv):
+        tokenised.clear()
+        vectorised.clear()
+        assert main(argv) == 0, argv
+
+    run_counted(["train", "--reviews", reviews, "--out", str(tmp_path / "model.json")])
+    assert tokenised == Counter(dict.fromkeys(texts, 1))
     for task in SYNTHETIC:
-        calls.clear()
-        assert build_synthetic(corpus, task, 3, 8).pairs, task
-        assert calls and max(calls.values()) == 1, task
+        run_counted([
+            "build-synthetic", "--reviews", reviews, "--task", task,
+            "--n", "3", "--k", "8", "--out", str(tmp_path / task),
+        ])
+        assert tokenised and max(tokenised.values()) == 1, task
+        assert vectorised and max(vectorised.values()) == 1, task
+    run_counted([
+        "evaluate", "--generated", inputs["generated.json"],
+        "--references", inputs["references.jsonl"],
+        "--reviews", reviews, "--out", str(tmp_path / EVALUATION),
+    ])
+    assert tokenised and max(tokenised.values()) == 1
 
 
 if __name__ == "__main__":

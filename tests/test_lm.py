@@ -129,6 +129,16 @@ def test_model_roundtrip_bit_exact(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_trained_counts_equal_reloaded_counts(tmp_path):
+    v, lm = build_cache_lm(["a b c d", "d c b a", "b d a c a"], order=3)
+    path = tmp_path / "model.json"
+    save_model(lm, str(path))
+    reloaded = load_model(str(path))
+    for model in (lm, reloaded):
+        assert {type(row) for row in model.background.counts.values()} == {dict}
+    assert lm.background.counts == reloaded.background.counts
+
+
 def test_reloaded_model_same_distributions(tmp_path):
     v, lm = build_cache_lm(["a b c d", "d c b a"], order=2)
     path = tmp_path / "model.json"

@@ -1,3 +1,7 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cosum.data import Review
 from cosum.vocab import (
     BOS_ID,
     EOS_ID,
@@ -57,3 +61,17 @@ def test_decode_skips_bos_eos():
     v = Vocabulary()
     ids = v.encode("hello world", extend=True)
     assert v.decode([BOS_ID] + ids + [EOS_ID]) == "hello world"
+
+
+# Word and split characters, plus those whose lowercase depends on their
+# neighbours: Greek capital sigma lowers to a final sigma at a word's end,
+# and case mapping looks through soft hyphens, combining marks and
+# apostrophes to find that end.
+EDGE_ALPHABET = "aZ\u03a3\u03c3\u03c2\u0391\u0130\u00ad\u0301'\u2019-. \t\n"
+
+
+@settings(max_examples=500)
+@given(st.lists(st.text(EDGE_ALPHABET, min_size=1), max_size=5))
+def test_review_tokens_concatenate_to_the_tokens_of_the_joined_texts(texts):
+    reviews = [Review("e", str(i), text) for i, text in enumerate(texts)]
+    assert [t for r in reviews for t in r.tokens] == tokenize_text(" ".join(texts))
