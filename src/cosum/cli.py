@@ -9,7 +9,6 @@ import itertools
 import json
 import os
 import sys
-import tempfile
 import time
 from collections import Counter
 from typing import Dict, List, Optional, Sequence
@@ -23,6 +22,7 @@ from .decoding import (
     load_decode_config,
     summarize_pair,
 )
+from .files import atomic_write_text
 from .lm import load_model, save_model, train_model
 from .metrics import (
     distinctiveness,
@@ -37,23 +37,6 @@ from .vocab import tokenize_text
 
 class CliError(Exception):
     """User-facing error; printed as one line on stderr."""
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    """Write path through a temporary file, with the mode open(path, "w") gives."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    umask = os.umask(0)
-    os.umask(umask)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.chmod(tmp, 0o666 & ~umask)
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _dump_json(obj) -> str:
@@ -85,7 +68,7 @@ def _write_manifest(
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    _atomic_write_text(out_path + ".manifest.json", _dump_json(manifest))
+    atomic_write_text(out_path + ".manifest.json", _dump_json(manifest))
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -117,9 +100,9 @@ def cmd_build_synthetic(args: argparse.Namespace) -> int:
     lines = [
         json.dumps(pair.to_record(), sort_keys=True) for pair in result.pairs
     ]
-    _atomic_write_text(args.out, "".join(line + "\n" for line in lines))
+    atomic_write_text(args.out, "".join(line + "\n" for line in lines))
     skip_path = args.out + ".skips.json"
-    _atomic_write_text(
+    atomic_write_text(
         skip_path,
         _dump_json(
             {"skipped": result.skipped, "k_truncated": result.k_truncated}
@@ -192,7 +175,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         records = [
             dataclasses.asdict(summarize_pair(lm, pair, point)) for pair in conditions
         ]
-        _atomic_write_text(out_path, _dump_json(records))
+        atomic_write_text(out_path, _dump_json(records))
         _write_manifest(
             out_path,
             "summarize",
@@ -307,13 +290,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 "rougeL": intral.f1,
             }
             if corpus is not None:
-                if "|" not in pair_id:
+                entity_ids = pair_id.split("|")
+                if len(entity_ids) != 2:
                     raise CliError("pair_id must be 'A|B' to look up --reviews")
-                entity_a, entity_b = pair_id.split("|", 1)
-                for entity_id in (entity_a, entity_b):
+                for entity_id in entity_ids:
                     if entity_id not in corpus:
                         raise CliError(f"unknown entity id: {entity_id}")
-                entry["novelty"] = _novelty(tokens, corpus[entity_a], corpus[entity_b])
+                entry["novelty"] = _novelty(tokens, *(corpus[e] for e in entity_ids))
         except (CliError, ValueError) as exc:
             raise CliError(f"{args.generated}: pair {pair_id}: {exc}") from exc
         per_pair[pair_id] = entry
@@ -332,7 +315,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 [p[side][metric]["f1"] for p in per_pair.values()]
             )
     report = {"pairs": per_pair, "means": means}
-    _atomic_write_text(args.out, _dump_json(report))
+    atomic_write_text(args.out, _dump_json(report))
     _write_manifest(
         args.out,
         "evaluate",

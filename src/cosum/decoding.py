@@ -71,6 +71,8 @@ def load_decode_config(path: str) -> DecodeConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_TYPES:
                 raise ValueError(f"{where}: unknown config key {key!r}")
+            if key in overrides:
+                raise ValueError(f"{where}: repeats key {key!r}")
             try:
                 overrides[key] = CONFIG_TYPES[key](value)
             except ValueError as exc:
@@ -184,22 +186,13 @@ def condition_pair(
     lm: CacheInterpolatedLM, reviews_a: EntityReviewSet, reviews_b: EntityReviewSet
 ) -> PairConditions:
     """Build the pair's three conditions once; every decode of it reuses them."""
+    for entity_id in (reviews_a.entity_id, reviews_b.entity_id):
+        if "|" in entity_id:
+            raise ValueError(f"entity id {entity_id!r} contains the pair separator '|'")
     pair_id = f"{reviews_a.entity_id}|{reviews_b.entity_id}"
     a, b = reviews_a.texts, reviews_b.texts
     both = lm.condition(a + b)
     return PairConditions(pair_id, lm.condition(a), lm.condition(b), both)
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    tokens: Tuple[int, ...]
-    logscore: float
-    finished: bool
-
-    def normalized_score(self, alpha: float) -> float:
-        if not self.tokens:
-            return 0.0
-        return self.logscore / float(len(self.tokens)) ** alpha
 
 
 def _masked(dist: TokenDist, prefix: Tuple[int, ...], cfg: DecodeConfig) -> TokenDist:
@@ -220,42 +213,37 @@ def beam_decode(
     hypotheses are frozen but keep competing on their length-normalized
     score. Returns the best finished hypothesis, or the best unfinished
     one if nothing finished within max_len.
+
+    A hypothesis is the tuple (-normalized score, tokens, log score), and
+    it has finished when its last token is EOS. No two hypotheses in a
+    pool share tokens, so tuple order ranks them totally and the order
+    steps list their entries in cannot change the beam.
     """
     alpha = cfg.length_penalty
-
-    # No two hypotheses in a pool share tokens, so rank is a total order
-    # and the order steps list their entries in cannot change the beam.
-    def rank(h: Hypothesis) -> Tuple[float, Tuple[int, ...]]:
-        return (-h.normalized_score(alpha), h.tokens)
-
-    beams = [Hypothesis(tokens=(), logscore=0.0, finished=False)]
+    beams = [(-0.0, (), 0.0)]
     for _ in range(max_len):
-        if all(h.finished for h in beams):
+        if all(tokens[-1:] == (EOS_ID,) for _, tokens, _ in beams):
             break
         pool = []
         for hyp in beams:
-            if hyp.finished:
+            _, tokens, logscore = hyp
+            if tokens[-1:] == (EOS_ID,):
                 pool.append(hyp)
                 continue
-            dist = _masked(step_fn(hyp.tokens), hyp.tokens, cfg)
+            dist = _masked(step_fn(tokens), tokens, cfg)
             if not dist.entries and fallback is not None:
-                dist = _masked(fallback(hyp.tokens), hyp.tokens, cfg)
+                dist = _masked(fallback(tokens), tokens, cfg)
             if not dist.entries:
                 raise ValueError(
                     "empty step distribution: all its mass is on masked"
                     " tokens (<unk>, or EOS before min_len)"
                 )
             for t, p in dist.entries.items():
-                pool.append(
-                    Hypothesis(
-                        tokens=hyp.tokens + (t,),
-                        logscore=hyp.logscore + math.log(p),
-                        finished=t == EOS_ID,
-                    )
-                )
-        beams = heapq.nsmallest(cfg.beam_width, pool, key=rank)
-    finished = [h for h in beams if h.finished]
-    return min(finished or beams, key=rank).tokens
+                extended, score = tokens + (t,), logscore + math.log(p)
+                pool.append((-(score / float(len(extended)) ** alpha), extended, score))
+        beams = heapq.nsmallest(cfg.beam_width, pool)
+    finished = [hyp for hyp in beams if hyp[1][-1:] == (EOS_ID,)]
+    return min(finished or beams)[1]
 
 
 @dataclass(frozen=True)

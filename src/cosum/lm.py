@@ -14,6 +14,7 @@ import math
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .dists import TokenDist
+from .files import atomic_write_text
 from .vocab import BOS, BOS_ID, EOS, EOS_ID, UNK, Vocabulary
 
 Prefix = Tuple[int, ...]
@@ -191,8 +192,8 @@ def save_model(lm: CacheInterpolatedLM, path: str) -> None:
         "cache_order": lm.cache_order,
         "counts": counts,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    atomic_write_text(path, text)
 
 
 _COUNT_ENTRY = (

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -65,22 +66,24 @@ def count_sequences(vocab_size, max_len):
 
 
 def test_oracle_equivalence_on_random_toy_lms():
-    rng = random.Random(42)
-    for trial in range(25):
-        vocab_size = rng.randint(2, 5)
-        vocab_ids = [EOS_ID] + list(range(3, 2 + vocab_size))
-        max_len = rng.randint(2, 4)
-        step_fn = make_toy_step_fn(rng, vocab_ids, max_len)
-        cfg = DecodeConfig(
-            beam_width=count_sequences(len(vocab_ids), max_len),
-            min_len=1,
-            max_len_contrastive=max_len,
-            max_len_common=max_len,
-            length_penalty=1.0,
-        )
-        assert beam_decode(step_fn, cfg, max_len) == exhaustive_best(
-            step_fn, cfg, max_len
-        )
+    # One test id over the grid; each setting replays the same 25 toy LMs.
+    for alpha, min_len in itertools.product((0.0, 0.5, 1.0, 2.0), (1, 2)):
+        rng = random.Random(42)
+        for trial in range(25):
+            vocab_size = rng.randint(2, 5)
+            vocab_ids = [EOS_ID] + list(range(3, 2 + vocab_size))
+            max_len = rng.randint(2, 4)
+            step_fn = make_toy_step_fn(rng, vocab_ids, max_len)
+            cfg = DecodeConfig(
+                beam_width=count_sequences(len(vocab_ids), max_len),
+                min_len=min_len,
+                max_len_contrastive=max_len,
+                max_len_common=max_len,
+                length_penalty=alpha,
+            )
+            assert beam_decode(step_fn, cfg, max_len) == exhaustive_best(
+                step_fn, cfg, max_len
+            ), (alpha, min_len, trial)
 
 
 def test_beam_width_one_is_greedy():

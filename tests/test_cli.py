@@ -1,8 +1,10 @@
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
+import cosum.lm
 from cosum.cli import main
 from cosum.metrics import novel_ngram_rate
 from cosum.vocab import tokenize_text
@@ -72,16 +74,35 @@ class TestTrain:
         assert manifest["model_fingerprint"]
 
     def test_atomic_writes_get_the_mode_of_a_plain_open(self, corpus_path, tmp_path):
-        # save_model opens the model file plainly; the manifest is written
-        # through a temporary file and renamed.
+        # The model and its manifest are written through a temporary file
+        # and renamed; both get the mode a plainly opened file gets.
         out = tmp_path / "m.json"
+        plain = tmp_path / "plain"
         umask = os.umask(0o022)
         try:
             assert main(["train", "--reviews", corpus_path, "--out", str(out)]) == 0
+            plain.write_text("")
         finally:
             os.umask(umask)
         manifest = tmp_path / "m.json.manifest.json"
-        assert manifest.stat().st_mode == out.stat().st_mode
+        assert manifest.stat().st_mode == out.stat().st_mode == plain.stat().st_mode
+
+    def test_failed_serialisation_keeps_the_old_model(
+        self, model_path, corpus_path, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "m.json"
+        with open(model_path, "rb") as fh:
+            old = fh.read()
+        out.write_bytes(old)
+
+        def dumps(*args, **kwargs):
+            raise ValueError("cannot serialise")
+
+        monkeypatch.setattr(cosum.lm, "json", SimpleNamespace(dumps=dumps))
+        assert main(["train", "--reviews", corpus_path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: cannot serialise\n"
+        assert out.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
     def test_retrain_identical_fingerprint(self, corpus_path, tmp_path):
         out1 = tmp_path / "m1.json"
@@ -397,6 +418,17 @@ class TestSummarize:
                 "/out.d0.123457_g0.5.json\n",
             ),
             (["--gamma-grid", "0.5,0.50"], None, None, None, "two grid points would write"),
+            ([], None, None, "delta = 0.5\ndelta = 2\n", "bad.cfg line 2: repeats key 'delta'"),
+            (
+                ["--pair", "x|y,z"],
+                None,
+                "".join(
+                    json.dumps({"entity_id": e, "review_id": "1", "text": "ok"}) + "\n"
+                    for e in ("harbor_hotel", "garden_inn", "x|y", "z")
+                ),
+                None,
+                "error: entity id 'x|y' contains the pair separator '|'\n",
+            ),
         ],
         ids=[
             "empty-delta-grid",
@@ -447,6 +479,8 @@ class TestSummarize:
             "config-gamma-inf",
             "delta-grid-points-share-a-path",
             "gamma-grid-repeats-a-value",
+            "config-repeats-a-key",
+            "entity-id-holds-the-pair-separator",
         ],
     )
     def test_bad_input_is_one_error_line(
@@ -709,8 +743,14 @@ class TestEvaluate:
                 False,
                 "pair harbor_hotel|garden_inn: empty summary",
             ),
+            (
+                {"pair_id": "harbor_hotel|garden_inn|airport_express"},
+                True,
+                "pair harbor_hotel|garden_inn|airport_express:"
+                " pair_id must be 'A|B' to look up --reviews",
+            ),
         ],
-        ids=["pair-id-without-bar", "unknown-entity", "empty-side"],
+        ids=["pair-id-without-bar", "unknown-entity", "empty-side", "pair-id-with-two-bars"],
     )
     def test_scoring_errors_name_file_and_pair(
         self, tmp_path, capsys, corpus_path, changes, with_reviews, named
