@@ -34,8 +34,8 @@ from cosum.metrics import (
 )
 from cosum.vocab import EOS_ID, tokenize_text
 
-import test_data
 from test_beam import count_sequences, exhaustive_best, make_toy_step_fn
+from test_data import TestBuildSynthetic, brute_force_top_subset
 
 
 def random_dist(rng, support):
@@ -223,7 +223,7 @@ def test_criterion_6_directional_codecoding(trained_lm, corpus_by_entity, demo):
 
 def test_criterion_7_synthetic_oracle():
     start = time.monotonic()
-    builder = test_data.TestBuildSynthetic()
+    builder = TestBuildSynthetic()
     for seed in (21, 22, 23):
         corpus = builder.fixture_corpus(
             random.Random(seed), n_entities=3, n_reviews=8
@@ -243,7 +243,7 @@ def test_criterion_7_synthetic_oracle():
                     if c.review_id != pair.pseudo_summary.review_id
                     and 50 <= len(c.tokens) <= 150
                 ]
-                oracle_ids, oracle_sum = test_data.brute_force_top_subset(
+                oracle_ids, oracle_sum = brute_force_top_subset(
                     pair.pseudo_summary, candidates, n, stats
                 )
                 assert {c.review_id for c in pair.inputs} == oracle_ids
