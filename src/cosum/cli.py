@@ -238,7 +238,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     with open(args.generated, encoding="utf-8") as fh:
         try:
             records = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CliError(f"{args.generated}: {exc}") from exc
     if not isinstance(records, list):
         raise CliError(f"{args.generated}: expected a JSON list of summary records")
@@ -254,7 +254,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             where = f"{args.references} line {lineno}"
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise CliError(f"{where}: {exc}") from exc
             _add_record(references, rec, where, reference=True)
     missing = sorted(set(generated) - set(references))

@@ -74,7 +74,7 @@ def load_reviews(path: str) -> List[EntityReviewSet]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"{path} line {lineno}: invalid JSON ({exc})") from exc
             if not isinstance(obj, dict):
                 raise ValueError(f"{path} line {lineno}: expected a JSON object")

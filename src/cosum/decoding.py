@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from types import SimpleNamespace
 from typing import Callable, Dict, Optional, Tuple
 
@@ -174,12 +174,16 @@ def symmetric_common_dist(
 
 @dataclass(frozen=True)
 class PairConditions:
-    """One pair's conditions: entity a's reviews, b's, and both pooled."""
+    """One pair's conditions: entity a's reviews, b's, and both pooled.
+
+    `decoded` keeps the side texts summarize_pair decoded from them.
+    """
 
     pair_id: str
     a: CacheModel
     b: CacheModel
     both: CacheModel
+    decoded: Dict[tuple, str] = field(default_factory=dict, compare=False, repr=False)
 
 
 def condition_pair(
@@ -297,15 +301,17 @@ def _common_poe(lm, prefix, x, y, both, cfg):
 # conditioned on one set it is that entity's model, on both the common
 # model. A mode that ablates one side decodes the other with the paper's
 # aggregator (PoE contrastive, MoE common), so common_moe decodes exactly
-# as contrastive_poe does. Steps look up aggregators as module globals at
-# call time, so wrappers see every call.
+# as contrastive_poe does. Each step comes with the DecodeConfig field it
+# reads ("delta", "gamma" or None), so summarize_pair can reuse a side's
+# text across grid points that differ only in the other. Steps look up
+# aggregators as module globals at call time, so wrappers see every call.
 DECODE_MODES = {
-    "contrastive_poe": (_contrastive_poe, _common_moe),
-    "contrastive_moe_ablation": (_contrastive_moe, _common_moe),
-    "contrastive_vs_common": (_contrastive_vs_common, _common_moe),
-    "common_moe": (_contrastive_poe, _common_moe),
-    "common_poe_ablation": (_contrastive_poe, _common_poe),
-    "base": (_contrastive_base, _common_base),
+    "contrastive_poe": ((_contrastive_poe, "delta"), (_common_moe, "gamma")),
+    "contrastive_moe_ablation": ((_contrastive_moe, "delta"), (_common_moe, "gamma")),
+    "contrastive_vs_common": ((_contrastive_vs_common, "delta"), (_common_moe, "gamma")),
+    "common_moe": ((_contrastive_poe, "delta"), (_common_moe, "gamma")),
+    "common_poe_ablation": ((_contrastive_poe, "delta"), (_common_poe, "gamma")),
+    "base": ((_contrastive_base, None), (_common_base, None)),
 }
 ALL_MODES = tuple(DECODE_MODES)
 
@@ -315,10 +321,11 @@ def summarize_pair(
 ) -> SummaryTriple:
     """Decode the two contrastive summaries and the common summary.
 
-    `pair` comes from condition_pair on the same lm. A step that masking
-    empties is recomputed from LM distributions masked the same way. A
-    side that cannot be decoded raises ValueError naming the pair and the
-    side.
+    `pair` comes from condition_pair on the same lm and keeps each side's
+    text for configs that differ only in a trade-off the side does not
+    read. A step that masking empties is recomputed from LM distributions
+    masked the same way. A side that cannot be decoded raises ValueError
+    naming the pair and the side.
     """
     contrastive_side, common_side = DECODE_MODES[cfg.mode]
     masked_lm = SimpleNamespace(
@@ -326,14 +333,20 @@ def summarize_pair(
     )
 
     def decode(name: str, side, x, y, max_len: int) -> str:
-        def step(model) -> StepFn:
-            return lambda prefix: side(model, prefix, x, y, pair.both, cfg)
+        side_step, reads = side
+        unread = {f: 0.0 for f in ("delta", "gamma") if f != reads}
+        key = (name, side_step, replace(cfg, **unread))
 
-        try:
-            tokens = beam_decode(step(lm), cfg, max_len, step(masked_lm))
-        except ValueError as exc:
-            raise ValueError(f"pair {pair.pair_id}, {name}: {exc}") from exc
-        return lm.vocabulary.decode(tokens)
+        def step(model) -> StepFn:
+            return lambda prefix: side_step(model, prefix, x, y, pair.both, cfg)
+
+        if key not in pair.decoded:
+            try:
+                tokens = beam_decode(step(lm), cfg, max_len, step(masked_lm))
+            except ValueError as exc:
+                raise ValueError(f"pair {pair.pair_id}, {name}: {exc}") from exc
+            pair.decoded[key] = lm.vocabulary.decode(tokens)
+        return pair.decoded[key]
 
     max_len = cfg.max_len_contrastive
     return SummaryTriple(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .dists import TokenDist
@@ -246,7 +247,7 @@ def load_model(path: str) -> CacheInterpolatedLM:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object")
@@ -276,5 +277,7 @@ def load_model(path: str) -> CacheInterpolatedLM:
             raise ValueError(f"{path}: 'counts' entry {index} repeats a token id")
         if ctx in background.counts:
             raise ValueError(f"{path}: 'counts' entry {index} repeats a context")
+        if sum(counter.values()) > sys.float_info.max:
+            raise ValueError(f"{path}: 'counts' entry {index} sums past the float range")
         background.counts[ctx] = counter
     return lm

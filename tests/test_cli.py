@@ -1,9 +1,11 @@
+import itertools
 import json
 import os
 from types import SimpleNamespace
 
 import pytest
 
+import cosum.decoding
 import cosum.lm
 from cosum.cli import main
 from cosum.metrics import novel_ngram_rate
@@ -403,6 +405,32 @@ class TestSummarize:
                 None,
                 "bad_model.json: smoothing mass must be finite and > 0",
             ),
+            (
+                [],
+                model(counts=[[[], [[1, 10**400], [3, 1]]]]),
+                None,
+                None,
+                "bad_model.json: 'counts' entry 1 sums past the float range",
+            ),
+            (
+                [],
+                model(
+                    order=2,
+                    cache_order=2,
+                    counts=[[[0], [[1, 1]]], [[1], [[1, 10**308], [3, 10**308]]]],
+                ),
+                None,
+                None,
+                "bad_model.json: 'counts' entry 2 sums past the float range",
+            ),
+            ([], "[" * 100_000, None, None, "bad_model.json: maximum recursion depth"),
+            (
+                [],
+                None,
+                REVIEW + "[" * 100_000 + "\n",
+                None,
+                "bad.jsonl line 2: invalid JSON (maximum recursion depth",
+            ),
             (["--length-penalty", "nan"], None, None, None, "error: delta, gamma and length"),
             (["--delta", "inf"], None, None, None, "must be finite and >= 0"),
             (["--gamma", "nan"], None, None, None, "must be finite and >= 0"),
@@ -470,6 +498,10 @@ class TestSummarize:
             "model-token-id-repeated",
             "model-context-repeated",
             "model-eps-nan",
+            "model-count-too-large-for-a-float",
+            "model-counts-sum-too-large-for-a-float",
+            "model-nested-too-deep",
+            "review-nested-too-deep",
             "length-penalty-nan",
             "delta-inf",
             "gamma-nan",
@@ -550,6 +582,31 @@ class TestSummarize:
             "sweep.d1_g0.5.json",
             "sweep.d1_g0.json",
         ]
+
+    @pytest.mark.parametrize("mode,decodes", [("contrastive_poe", 8), ("base", 3)])
+    def test_grid_decodes_each_side_once_per_value_it_reads(
+        self, model_path, corpus_path, tmp_path, monkeypatch, mode, decodes
+    ):
+        # Contrastive sides read delta (3 values x 2 sides), the common side
+        # reads gamma (2 values); base reads neither.
+        calls = []
+        beam_decode = cosum.decoding.beam_decode
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return beam_decode(*args, **kwargs)
+
+        monkeypatch.setattr(cosum.decoding, "beam_decode", counted)
+        grid = ["--delta-grid", "0,0.5,1", "--gamma-grid", "0,0.5", "--mode", mode]
+        sweep = tmp_path / "sweep.json"
+        assert self.run_summarize(model_path, corpus_path, sweep, grid) == 0
+        assert len(calls) == decodes
+        for delta, gamma in itertools.product(("0", "0.5", "1"), ("0", "0.5")):
+            single = tmp_path / "single.json"
+            point = ["--delta", delta, "--gamma", gamma, "--mode", mode]
+            assert self.run_summarize(model_path, corpus_path, single, point) == 0
+            swept = tmp_path / f"sweep.d{delta}_g{gamma}.json"
+            assert swept.read_bytes() == single.read_bytes()
 
 
 class TestEvaluate:
@@ -683,6 +740,8 @@ class TestEvaluate:
             (None, {"common": ["c"]}, "refs.jsonl line 1: missing key 'pair_id'"),
             (None, {"pair_id": "p"}, "refs.jsonl line 1: missing key 'contrastive_a'"),
             (None, [REFERENCE], "refs.jsonl line 1: expected a JSON object"),
+            ("[" * 100_000, None, "generated.json: maximum recursion depth"),
+            (None, "[" * 100_000 + "\n", "refs.jsonl line 1: maximum recursion depth"),
         ],
         ids=[
             "gen-not-list",
@@ -694,6 +753,8 @@ class TestEvaluate:
             "ref-no-pair-id",
             "ref-no-side",
             "ref-not-object",
+            "gen-nested-too-deep",
+            "ref-nested-too-deep",
         ],
     )
     def test_malformed_records_are_one_error_line(
@@ -702,8 +763,11 @@ class TestEvaluate:
         gen_path, _ = self.make_generated(tmp_path)
         if generated is not None:
             gen_path.write_text(generated)
-        reference = self.REFERENCE if references is None else references
-        assert self.evaluate(tmp_path, gen_path, json.dumps(reference) + "\n") == 1
+        # A string is the references file's text; anything else is its one record.
+        if not isinstance(references, str):
+            reference = self.REFERENCE if references is None else references
+            references = json.dumps(reference) + "\n"
+        assert self.evaluate(tmp_path, gen_path, references) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err

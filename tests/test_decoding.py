@@ -4,6 +4,8 @@ import itertools
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosum.decoding import (
     DecodeConfig,
@@ -237,3 +239,55 @@ class TestPairConditions:
         assert encodes == []
         summarize_pair(trained_lm, pair, DecodeConfig(**FAST))
         assert len(encodes) == 2 * (len(ra.texts) + len(rb.texts))
+
+
+# Small enough that one fresh decode of all three sides takes milliseconds.
+SMALL = dict(beam_width=2, min_len=2, max_len_contrastive=6, max_len_common=6)
+TRADEOFFS = st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=3)
+
+
+class TestDecodedSides:
+    """A reused pair serves each side's text from PairConditions.decoded."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mode=st.sampled_from(["base", "contrastive_poe", "common_poe_ablation"]),
+        deltas=TRADEOFFS,
+        gammas=TRADEOFFS,
+        data=st.data(),
+    )
+    def test_sweep_over_one_pair_matches_fresh_pairs(
+        self, trained_lm, corpus_by_entity, mode, deltas, gammas, data
+    ):
+        ra = corpus_by_entity["harbor_hotel"]
+        rb = corpus_by_entity["garden_inn"]
+        pair = condition_pair(trained_lm, ra, rb)
+        grid = data.draw(st.permutations(list(itertools.product(deltas, gammas))))
+        base = DecodeConfig(mode=mode, **SMALL)
+        for delta, gamma in grid:
+            # top_p and max_len_common vary between points too; no text may cross them.
+            cfg = dataclasses.replace(
+                base,
+                delta=delta,
+                gamma=gamma,
+                top_p=data.draw(st.sampled_from([0.9, 0.5])),
+                max_len_common=data.draw(st.sampled_from([4, 6])),
+            )
+            assert summarize_pair(trained_lm, pair, cfg) == summarize(
+                trained_lm, ra, rb, cfg
+            )
+
+    @pytest.mark.parametrize("change", [{"top_p": 0.5}, {"max_len_common": 3}])
+    def test_reused_pair_decodes_again_for_other_settings(
+        self, trained_lm, corpus_by_entity, change
+    ):
+        ra = corpus_by_entity["harbor_hotel"]
+        rb = corpus_by_entity["garden_inn"]
+        pair = condition_pair(trained_lm, ra, rb)
+        cfg = DecodeConfig(**SMALL)
+        first = summarize_pair(trained_lm, pair, cfg)
+        other = dataclasses.replace(cfg, **change)
+        fresh = summarize(trained_lm, ra, rb, other)
+        assert fresh != first
+        assert summarize_pair(trained_lm, pair, other) == fresh
+        assert summarize_pair(trained_lm, pair, cfg) == first
