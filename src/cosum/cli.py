@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -341,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--order", type=int, default=3)
     p_train.add_argument("--lam", type=float, default=0.7)
     p_train.add_argument("--eps", type=float, default=1e-4)
-    p_train.set_defaults(func=cmd_train)
 
     p_build = sub.add_parser("build-synthetic", help="build pseudo training pairs")
     p_build.add_argument("--reviews", required=True)
@@ -349,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--n", type=int, default=3)
     p_build.add_argument("--k", type=int, default=100)
     p_build.add_argument("--out", required=True)
-    p_build.set_defaults(func=cmd_build_synthetic)
 
     p_sum = sub.add_parser("summarize", help="decode summaries for entity pairs")
     p_sum.add_argument("--model", required=True)
@@ -361,22 +360,24 @@ def build_parser() -> argparse.ArgumentParser:
         p_sum.add_argument("--" + name.replace("_", "-"), type=kind)
     p_sum.add_argument("--delta-grid", default=None, dest="delta_grid")
     p_sum.add_argument("--gamma-grid", default=None, dest="gamma_grid")
-    p_sum.set_defaults(func=cmd_summarize)
 
     p_eval = sub.add_parser("evaluate", help="score generated summaries")
     p_eval.add_argument("--generated", required=True)
     p_eval.add_argument("--references", required=True)
     p_eval.add_argument("--reviews", default=None)
     p_eval.add_argument("--out", required=True)
-    p_eval.set_defaults(func=cmd_evaluate)
     return parser
 
 
+# One parser per process. Dispatch looks each cmd_* up in this module when
+# main runs, so a command replaced here after the first call is the one run.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

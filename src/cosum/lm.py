@@ -9,10 +9,11 @@ depend on which entity's reviews condition the step.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import sys
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .dists import TokenDist
 from .files import atomic_write_text
@@ -180,10 +181,8 @@ MODEL_FORMAT_VERSION = 1
 
 def save_model(lm: CacheInterpolatedLM, path: str) -> None:
     """Serialize to a canonical JSON container (bit-exact round trip)."""
-    counts = sorted(
-        (list(ctx), sorted((t, c) for t, c in counter.items()))
-        for ctx, counter in lm.background.counts.items()
-    )
+    rows = lm.background.counts  # contexts are unique, so they alone set the order
+    counts = [[ctx, sorted(rows[ctx].items())] for ctx in sorted(rows)]
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "vocabulary": list(lm.vocabulary.tokens[3:]),
@@ -203,25 +202,25 @@ _COUNT_ENTRY = (
 )
 
 
-def _count_entry(
-    entry: object, ctx_len: int, ids: range
-) -> Optional[Tuple[Prefix, Dict[int, int]]]:
-    """(context, counts) from a _COUNT_ENTRY over the token ids `ids`, or None."""
+def _table(entries: list) -> Counts:
+    """{context: {token id: count}} from [context ids, items] entries; {} if one is not."""
     try:
-        ctx, items = entry
-        ctx, counter = tuple(ctx), dict(items)
+        return {tuple(ctx): dict(items) for ctx, items in entries}
     except (TypeError, ValueError):
-        return None
-    types = {*map(type, ctx), *map(type, counter), *map(type, counter.values())}
-    valid = (
-        types <= {int}
-        and len(ctx) == ctx_len
-        and all(map(ids.__contains__, ctx))
-        and all(map(ids.__contains__, counter))
-        and BOS_ID not in counter
-        and (not counter or min(counter.values()) >= 1)
+        return {}
+
+
+def _valid_table(counts: Counts, ctx_len: int, size: int) -> bool:
+    """Whether every context and row of counts is a _COUNT_ENTRY for |V| = size."""
+    chain = itertools.chain.from_iterable
+    ctx_ids, token_ids = [*chain(counts)], [*chain(counts.values())]
+    values = [*chain(map(dict.values, counts.values()))]
+    return (
+        {*map(type, ctx_ids), *map(type, token_ids), *map(type, values)} <= {int}
+        and {*map(len, counts)} <= {ctx_len} and min(values, default=1) >= 1
+        and 0 <= min(ctx_ids, default=0) and max(ctx_ids, default=0) < size
+        and BOS_ID < min(token_ids, default=1) and max(token_ids, default=1) < size
     )
-    return (ctx, counter) if valid else None
 
 
 _VOCABULARY = f"a list of distinct strings other than {BOS}, {EOS} and {UNK}"
@@ -268,16 +267,32 @@ def load_model(path: str) -> CacheInterpolatedLM:
         lm = CacheInterpolatedLM(background, payload["cache_order"], payload["lambda"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    for index, entry in enumerate(payload["counts"], start=1):
-        parsed = _count_entry(entry, background.order - 1, range(len(vocabulary)))
-        if parsed is None:
-            raise ValueError(f"{path}: 'counts' entry {index} must be {_COUNT_ENTRY}")
-        ctx, counter = parsed
-        if len(counter) < len(entry[1]):
-            raise ValueError(f"{path}: 'counts' entry {index} repeats a token id")
-        if ctx in background.counts:
-            raise ValueError(f"{path}: 'counts' entry {index} repeats a context")
-        if sum(counter.values()) > sys.float_info.max:
-            raise ValueError(f"{path}: 'counts' entry {index} sums past the float range")
-        background.counts[ctx] = counter
+    # train writes equal orders and some counts; a context's length bounds order.
+    if lm.cache_order > background.order:
+        raise ValueError(f"{path}: 'cache_order' must be at most 'order'")
+    if not payload["counts"]:
+        raise ValueError(f"{path}: 'counts' must not be empty")
+    entries, ctx_len, size = payload["counts"], background.order - 1, len(vocabulary)
+    # Checked at once: with no context or token id merged, the table is the
+    # rescan's. Only a bad file is rescanned, to name its first bad entry.
+    counts = background.counts = _table(entries)
+    if not (
+        _valid_table(counts, ctx_len, size)
+        and len(counts) == len(entries)
+        and sum(map(len, counts.values())) == sum(len(items) for _, items in entries)
+        and max(map(sum, map(dict.values, counts.values())), default=0) <= sys.float_info.max
+    ):
+        counts = background.counts = {}
+        for index, entry in enumerate(entries, start=1):
+            one = _table([entry])
+            if not one or not _valid_table(one, ctx_len, size):
+                raise ValueError(f"{path}: 'counts' entry {index} must be {_COUNT_ENTRY}")
+            [(ctx, counter)] = one.items()
+            if len(counter) < len(entry[1]):
+                raise ValueError(f"{path}: 'counts' entry {index} repeats a token id")
+            if ctx in counts:
+                raise ValueError(f"{path}: 'counts' entry {index} repeats a context")
+            if sum(counter.values()) > sys.float_info.max:
+                raise ValueError(f"{path}: 'counts' entry {index} sums past the float range")
+            counts[ctx] = counter
     return lm

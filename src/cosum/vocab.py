@@ -35,10 +35,9 @@ class Vocabulary:
     """Dense, 0-based token-id mapping with reserved BOS/EOS/UNK ids."""
 
     def __init__(self, tokens: Iterable[str] = ()) -> None:
-        self._tokens: List[str] = [BOS, EOS, UNK]
-        self._index = {BOS: BOS_ID, EOS: EOS_ID, UNK: UNK_ID}
-        for tok in tokens:
-            self.add(tok)
+        # A repeated or reserved token keeps its first id, as add() gives it.
+        self._tokens: List[str] = list(dict.fromkeys((BOS, EOS, UNK, *tokens)))
+        self._index = {tok: tid for tid, tok in enumerate(self._tokens)}
 
     def __len__(self) -> int:
         return len(self._tokens)

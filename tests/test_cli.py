@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import cosum.cli
 import cosum.decoding
 import cosum.lm
 from cosum.cli import main
@@ -47,6 +48,18 @@ MODEL = {
 
 def model(**changes):
     return json.dumps(dict(MODEL, **changes))
+
+
+def test_dispatch_runs_the_command_the_module_holds_now(monkeypatch, tmp_path):
+    missing = str(tmp_path / "missing.jsonl")
+    argv = ["train", "--reviews", missing, "--out", str(tmp_path / "m.json")]
+    assert main(argv) == 1  # the real cmd_train, through the process's parser
+    calls = []
+    monkeypatch.setattr(cosum.cli, "cmd_train", lambda args: calls.append(args) or 0)
+    assert main(argv) == 0 and main(argv) == 0
+    assert [args.reviews for args in calls] == [missing, missing]
+    monkeypatch.undo()
+    assert main(argv) == 1
 
 
 SUMMARIZE_FAST = ["--min-len", "3", "--max-len-contrastive", "25", "--max-len-common", "15"]
@@ -423,6 +436,27 @@ class TestSummarize:
                 None,
                 "bad_model.json: 'counts' entry 2 sums past the float range",
             ),
+            (
+                [],
+                model(order=10**400, counts=[]),
+                None,
+                None,
+                "bad_model.json: 'counts' must not be empty\n",
+            ),
+            (
+                [],
+                model(order=10**400),
+                None,
+                None,
+                "bad_model.json: 'counts' entry 1 must be",
+            ),
+            (
+                [],
+                model(cache_order=10**400),
+                None,
+                None,
+                "bad_model.json: 'cache_order' must be at most 'order'\n",
+            ),
             ([], "[" * 100_000, None, None, "bad_model.json: maximum recursion depth"),
             (
                 [],
@@ -500,6 +534,9 @@ class TestSummarize:
             "model-eps-nan",
             "model-count-too-large-for-a-float",
             "model-counts-sum-too-large-for-a-float",
+            "model-counts-empty",
+            "model-order-past-its-contexts",
+            "model-cache-order-past-order",
             "model-nested-too-deep",
             "review-nested-too-deep",
             "length-penalty-nan",
