@@ -14,7 +14,7 @@ import time
 from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
-from . import __version__
+from . import __version__, files
 from .data import EntityReviewSet, build_synthetic, load_reviews
 from .decoding import (
     CONFIG_TYPES,
@@ -34,10 +34,6 @@ from .metrics import (
     rouge_multi,
 )
 from .vocab import tokenize_text
-
-
-class CliError(Exception):
-    """User-facing error; printed as one line on stderr."""
 
 
 def _dump_json(obj) -> str:
@@ -74,7 +70,7 @@ def _write_manifest(
 
 def cmd_train(args: argparse.Namespace) -> int:
     if not os.path.exists(args.reviews):
-        raise CliError(f"corpus not found: {args.reviews}")
+        raise ValueError(f"corpus not found: {args.reviews}")
     corpus = load_reviews(args.reviews)
     texts = [r.text for es in corpus for r in es.reviews]
     lm = train_model(texts, args.order, args.lam, args.eps)
@@ -136,9 +132,9 @@ def _parse_grid(raw: str) -> List[float]:
     try:
         grid = [float(v) for v in raw.split(",") if v.strip()]
     except ValueError as exc:
-        raise CliError(f"invalid grid value: {raw}") from exc
+        raise ValueError(f"invalid grid value: {raw}") from exc
     if not grid:
-        raise CliError(f"empty grid: {raw!r}")
+        raise ValueError(f"empty grid: {raw!r}")
     return grid
 
 
@@ -149,12 +145,12 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     for spec in args.pair:
         parts = [p.strip() for p in spec.split(",")]
         if len(parts) != 2:
-            raise CliError(f"pair must be 'A,B', got {spec!r}")
+            raise ValueError(f"pair must be 'A,B', got {spec!r}")
         for entity_id in parts:
             if entity_id not in corpus:
-                raise CliError(f"unknown entity id: {entity_id}")
+                raise ValueError(f"unknown entity id: {entity_id}")
         if tuple(parts) in pairs:
-            raise CliError(f"pair {spec!r} is given twice")
+            raise ValueError(f"pair {spec!r} is given twice")
         pairs.append(tuple(parts))
     cfg = _effective_config(args)
 
@@ -168,7 +164,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         point = dataclasses.replace(cfg, delta=delta, gamma=gamma)
         path = f"{stem}.d{delta:g}_g{gamma:g}{ext or '.json'}" if sweep else args.out
         if out_paths.setdefault(path, point) is not point:
-            raise CliError(f"two grid points would write {path}")
+            raise ValueError(f"two grid points would write {path}")
     fingerprint = _sha256(args.model)
     conditions = [condition_pair(lm, corpus[a], corpus[b]) for a, b in pairs]
 
@@ -215,52 +211,31 @@ def _novelty(
     return rates
 
 
-def _add_record(
-    records: Dict[str, dict], rec: object, where: str, reference: bool
-) -> None:
-    """File a checked generated (side: str) or reference (side: list of str) record."""
-    if not isinstance(rec, dict):
-        raise CliError(f"{where}: expected a JSON object")
-    for key in ("pair_id",) + SIDES:
-        if key not in rec:
-            raise CliError(f"{where}: missing key {key!r}")
-        value = rec[key]
-        if reference and key != "pair_id":
-            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-                raise CliError(f"{where}: {key!r} must be a list of strings")
-        elif not isinstance(value, str):
-            raise CliError(f"{where}: {key!r} must be a string")
+_GENERATED = {key: files.STRING for key in ("pair_id",) + SIDES}
+_REFERENCE = {"pair_id": files.STRING, **{side: files.STRINGS for side in SIDES}}
+
+
+def _add_record(records: Dict[str, dict], rec: object, where: str, fields: dict) -> None:
+    """File a record once it passes checked() against fields."""
+    rec = files.checked(rec, where, fields)
     if rec["pair_id"] in records:
-        raise CliError(f"{where}: repeats pair_id {rec['pair_id']!r}")
+        raise ValueError(f"{where}: repeats pair_id {rec['pair_id']!r}")
     records[rec["pair_id"]] = rec
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    with open(args.generated, encoding="utf-8") as fh:
-        try:
-            records = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise CliError(f"{args.generated}: {exc}") from exc
+    records = files.read_json(args.generated)
     if not isinstance(records, list):
-        raise CliError(f"{args.generated}: expected a JSON list of summary records")
+        raise ValueError(f"{args.generated}: expected a JSON list of summary records")
     generated = {}
     for index, rec in enumerate(records, start=1):
-        _add_record(generated, rec, f"{args.generated} record {index}", reference=False)
+        _add_record(generated, rec, f"{args.generated} record {index}", _GENERATED)
     references = {}
-    with open(args.references, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{args.references} line {lineno}"
-            try:
-                rec = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise CliError(f"{where}: {exc}") from exc
-            _add_record(references, rec, where, reference=True)
+    for where, line in files.lines(args.references):
+        _add_record(references, files.parse_json(line, where), where, _REFERENCE)
     missing = sorted(set(generated) - set(references))
     if missing:
-        raise CliError(f"missing reference ids: {', '.join(missing)}")
+        raise ValueError(f"missing reference ids: {', '.join(missing)}")
 
     corpus = None
     if args.reviews:
@@ -293,13 +268,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             if corpus is not None:
                 entity_ids = pair_id.split("|")
                 if len(entity_ids) != 2:
-                    raise CliError("pair_id must be 'A|B' to look up --reviews")
+                    raise ValueError("pair_id must be 'A|B' to look up --reviews")
                 for entity_id in entity_ids:
                     if entity_id not in corpus:
-                        raise CliError(f"unknown entity id: {entity_id}")
+                        raise ValueError(f"unknown entity id: {entity_id}")
                 entry["novelty"] = _novelty(tokens, *(corpus[e] for e in entity_ids))
-        except (CliError, ValueError) as exc:
-            raise CliError(f"{args.generated}: pair {pair_id}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{args.generated}: pair {pair_id}: {exc}") from exc
         per_pair[pair_id] = entry
 
     means: Dict[str, object] = {
@@ -378,7 +353,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

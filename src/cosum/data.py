@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 import functools
-import json
 import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .files import STRING, checked, lines, parse_json
 from .metrics import fold_sum
 from .vocab import tokenize_text
 
 INPUT_LEN_RANGE = (50, 150)
 SUMMARY_RANGES = {"contrastive": (100, 150), "common": (15, 50)}
+_REVIEW_FIELDS = {key: STRING for key in ("entity_id", "review_id", "text")}
 
 
 @dataclass(frozen=True)
@@ -67,34 +68,20 @@ def load_reviews(path: str) -> List[EntityReviewSet]:
     """
     grouped: Dict[str, List[Review]] = {}
     seen: set = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ValueError(f"{path} line {lineno}: invalid JSON ({exc})") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path} line {lineno}: expected a JSON object")
-            for key in ("entity_id", "review_id", "text"):
-                if key not in obj:
-                    raise ValueError(f"{path} line {lineno}: missing field {key!r}")
-                if not isinstance(obj[key], str):
-                    raise ValueError(f"{path} line {lineno}: {key!r} must be a string")
-            try:
-                review = Review(obj["entity_id"], obj["review_id"], obj["text"])
-            except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from exc
-            dup_key = (review.entity_id, review.review_id)
-            if dup_key in seen:
-                raise ValueError(
-                    f"{path} line {lineno}: duplicate review id {review.review_id!r} "
-                    f"for entity {review.entity_id!r}"
-                )
-            seen.add(dup_key)
-            grouped.setdefault(review.entity_id, []).append(review)
+    for where, line in lines(path):
+        obj = checked(parse_json(line, where), where, _REVIEW_FIELDS)
+        try:
+            review = Review(obj["entity_id"], obj["review_id"], obj["text"])
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        dup_key = (review.entity_id, review.review_id)
+        if dup_key in seen:
+            raise ValueError(
+                f"{where}: duplicate review id {review.review_id!r} "
+                f"for entity {review.entity_id!r}"
+            )
+        seen.add(dup_key)
+        grouped.setdefault(review.entity_id, []).append(review)
     return [EntityReviewSet(eid, revs) for eid, revs in grouped.items()]
 
 

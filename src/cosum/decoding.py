@@ -16,6 +16,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from .data import EntityReviewSet
 from .dists import TokenDist, top_p_truncate
+from .files import lines
 from .lm import CacheInterpolatedLM, CacheModel
 from .vocab import EOS_ID, UNK_ID
 
@@ -60,23 +61,21 @@ CONFIG_TYPES = {f.name: type(f.default) for f in fields(DecodeConfig)}
 def load_decode_config(path: str) -> DecodeConfig:
     """Parse a key=value config file over the defaults; unknown keys are an error."""
     overrides: Dict[str, object] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = f"{path} line {lineno}"
-            if "=" not in line:
-                raise ValueError(f"{where}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_TYPES:
-                raise ValueError(f"{where}: unknown config key {key!r}")
-            if key in overrides:
-                raise ValueError(f"{where}: repeats key {key!r}")
-            try:
-                overrides[key] = CONFIG_TYPES[key](value)
-            except ValueError as exc:
-                raise ValueError(f"{where}: {key}: {exc}") from exc
+    for where, line in lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{where}: expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_TYPES:
+            raise ValueError(f"{where}: unknown config key {key!r}")
+        if key in overrides:
+            raise ValueError(f"{where}: repeats key {key!r}")
+        try:
+            overrides[key] = CONFIG_TYPES[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {key}: {exc}") from exc
     try:
         return DecodeConfig(**overrides)
     except ValueError as exc:
@@ -324,8 +323,8 @@ def summarize_pair(
     `pair` comes from condition_pair on the same lm and keeps each side's
     text for configs that differ only in a trade-off the side does not
     read. A step that masking empties is recomputed from LM distributions
-    masked the same way. A side that cannot be decoded raises ValueError
-    naming the pair and the side.
+    masked the same way. A side that cannot be decoded, or whose scores
+    overflow a float, raises ValueError naming the pair and the side.
     """
     contrastive_side, common_side = DECODE_MODES[cfg.mode]
     masked_lm = SimpleNamespace(
@@ -343,8 +342,9 @@ def summarize_pair(
         if key not in pair.decoded:
             try:
                 tokens = beam_decode(step(lm), cfg, max_len, step(masked_lm))
-            except ValueError as exc:
-                raise ValueError(f"pair {pair.pair_id}, {name}: {exc}") from exc
+            except (ValueError, OverflowError) as exc:
+                what = "a value overflowed: " if isinstance(exc, OverflowError) else ""
+                raise ValueError(f"pair {pair.pair_id}, {name}: {what}{exc}") from exc
             pair.decoded[key] = lm.vocabulary.decode(tokens)
         return pair.decoded[key]
 

@@ -1,9 +1,58 @@
-"""Output files: every one is written whole or not at all."""
+"""Files: inputs are parsed here, each fault naming its file; outputs are written whole."""
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
+from typing import Iterator, Tuple
+
+# Kinds for checked(); str.__instancecheck__(v) is isinstance(v, str), without
+# a Python call for each corpus field.
+STRING = ("a string", str.__instancecheck__)
+STRINGS = ("a list of strings", lambda v: type(v) is list and all(type(t) is str for t in v))
+
+
+def lines(path: str) -> Iterator[Tuple[str, str]]:
+    """("<path> line N", stripped line) for each non-blank line of path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    yield f"{path} line {lineno}", line
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def parse_json(text: str, where: str) -> object:
+    """The JSON value text holds; a malformed one is a ValueError naming where."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def read_json(path: str) -> object:
+    """The JSON value of the whole file, parsed from its full text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return parse_json(text, path)
+
+
+def checked(value: object, where: str, fields: dict) -> dict:
+    """value, once it is an object whose values pass fields' key -> (kind, check) table."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    for key, (kind, valid) in fields.items():
+        if key not in value:
+            raise ValueError(f"{where}: missing key {key!r}")
+        if not valid(value[key]):
+            raise ValueError(f"{where}: {key!r} must be {kind}")
+    return value
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -16,7 +16,7 @@ import sys
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .dists import TokenDist
-from .files import atomic_write_text
+from .files import STRINGS, atomic_write_text, checked, read_json
 from .vocab import BOS, BOS_ID, EOS, EOS_ID, UNK, Vocabulary
 
 Prefix = Tuple[int, ...]
@@ -229,10 +229,7 @@ _NUMBER = ("a number", lambda v: type(v) in (int, float))
 # Model file key -> (what its value must be, check). JSON loads exact
 # types, so `type(v) is int` keeps true and false out of the integers.
 _MODEL_FIELDS = {
-    "vocabulary": (
-        _VOCABULARY,
-        lambda v: type(v) is list and all(type(t) is str for t in v),
-    ),
+    "vocabulary": (_VOCABULARY, STRINGS[1]),
     "order": _INT,
     "eps": _NUMBER,
     "lambda": _NUMBER,
@@ -243,21 +240,11 @@ _MODEL_FIELDS = {
 
 def load_model(path: str) -> CacheInterpolatedLM:
     """Read a save_model file; every malformed value is a ValueError naming path."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: expected a JSON object")
+    payload = checked(read_json(path), path, {})
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format version {version!r}")
-    for key, (kind, valid) in _MODEL_FIELDS.items():
-        if key not in payload:
-            raise ValueError(f"{path}: missing key {key!r}")
-        if not valid(payload[key]):
-            raise ValueError(f"{path}: {key!r} must be {kind}")
+    checked(payload, path, _MODEL_FIELDS)
     vocabulary = Vocabulary(payload["vocabulary"])
     # Vocabulary merges a repeated or reserved token, shifting every later id.
     if len(vocabulary) != 3 + len(payload["vocabulary"]):

@@ -63,6 +63,16 @@ def test_dispatch_runs_the_command_the_module_holds_now(monkeypatch, tmp_path):
 
 
 SUMMARIZE_FAST = ["--min-len", "3", "--max-len-contrastive", "25", "--max-len-common", "15"]
+SHORT = ["--max-len-contrastive", "12", "--max-len-common", "12", "--min-len", "2"]
+
+
+def write(path, content):
+    """Write str content as text and bytes as they are; return path."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return path
 
 
 def test_global_seed_flag_is_a_usage_error(corpus_path, tmp_path):
@@ -463,8 +473,11 @@ class TestSummarize:
                 None,
                 REVIEW + "[" * 100_000 + "\n",
                 None,
-                "bad.jsonl line 2: invalid JSON (maximum recursion depth",
+                "bad.jsonl line 2: maximum recursion depth",
             ),
+            ([], b"\xff", None, None, "bad_model.json: 'utf-8' codec can't decode byte 0xff"),
+            ([], None, REVIEW.encode() + b"\xff\n", None, "bad.jsonl: 'utf-8' codec can't"),
+            ([], None, None, b"delta = 0.5\n\xff\n", "bad.cfg: 'utf-8' codec can't decode"),
             (["--length-penalty", "nan"], None, None, None, "error: delta, gamma and length"),
             (["--delta", "inf"], None, None, None, "must be finite and >= 0"),
             (["--gamma", "nan"], None, None, None, "must be finite and >= 0"),
@@ -481,6 +494,28 @@ class TestSummarize:
             ),
             (["--gamma-grid", "0.5,0.50"], None, None, None, "two grid points would write"),
             ([], None, None, "delta = 0.5\ndelta = 2\n", "bad.cfg line 2: repeats key 'delta'"),
+            (
+                ["--delta", "1000"] + SHORT,
+                None,
+                None,
+                None,
+                "error: pair harbor_hotel|garden_inn, contrastive_a: a value overflowed: (34,",
+            ),
+            (
+                ["--length-penalty", "2000"] + SHORT,
+                None,
+                None,
+                None,
+                "error: pair harbor_hotel|garden_inn, contrastive_a: a value overflowed: (34,",
+            ),
+            (
+                ["--gamma", "1e308"] + SHORT,
+                None,
+                None,
+                None,
+                "error: pair harbor_hotel|garden_inn, common: a value overflowed: intermediate",
+            ),
+            ([], None, None, "delta = 1000\n", "contrastive_a: a value overflowed: (34,"),
             (
                 ["--pair", "x|y,z"],
                 None,
@@ -539,6 +574,9 @@ class TestSummarize:
             "model-cache-order-past-order",
             "model-nested-too-deep",
             "review-nested-too-deep",
+            "model-not-utf-8",
+            "review-not-utf-8",
+            "config-not-utf-8",
             "length-penalty-nan",
             "delta-inf",
             "gamma-nan",
@@ -549,6 +587,10 @@ class TestSummarize:
             "delta-grid-points-share-a-path",
             "gamma-grid-repeats-a-value",
             "config-repeats-a-key",
+            "delta-overflows",
+            "length-penalty-overflows",
+            "gamma-overflows",
+            "config-delta-overflows",
             "entity-id-holds-the-pair-separator",
         ],
     )
@@ -557,14 +599,11 @@ class TestSummarize:
         flags, model_text, reviews_text, config_text, named,
     ):
         if model_text is not None:
-            model_path = tmp_path / "bad_model.json"
-            model_path.write_text(model_text)
+            model_path = write(tmp_path / "bad_model.json", model_text)
         if reviews_text is not None:
-            corpus_path = tmp_path / "bad.jsonl"
-            corpus_path.write_text(reviews_text)
+            corpus_path = write(tmp_path / "bad.jsonl", reviews_text)
         if config_text is not None:
-            config = tmp_path / "bad.cfg"
-            config.write_text(config_text)
+            config = write(tmp_path / "bad.cfg", config_text)
             flags = flags + ["--config", str(config)]
         out = tmp_path / "out.json"
         assert self.run_summarize(str(model_path), str(corpus_path), out, flags) == 1
@@ -739,8 +778,7 @@ class TestEvaluate:
         assert pair["distinctiveness"] == pytest.approx(1.0 - 2.0 / 5.0, abs=1e-9)
 
     def evaluate(self, tmp_path, gen_path, references_text):
-        refs = tmp_path / "refs.jsonl"
-        refs.write_text(references_text)
+        refs = write(tmp_path / "refs.jsonl", references_text)
         return main(
             [
                 "evaluate",
@@ -779,6 +817,8 @@ class TestEvaluate:
             (None, [REFERENCE], "refs.jsonl line 1: expected a JSON object"),
             ("[" * 100_000, None, "generated.json: maximum recursion depth"),
             (None, "[" * 100_000 + "\n", "refs.jsonl line 1: maximum recursion depth"),
+            (b'[{"pair_id": "\xff"}]', None, "generated.json: 'utf-8' codec can't decode"),
+            (None, b"\xff\n", "refs.jsonl: 'utf-8' codec can't decode byte 0xff"),
         ],
         ids=[
             "gen-not-list",
@@ -792,6 +832,8 @@ class TestEvaluate:
             "ref-not-object",
             "gen-nested-too-deep",
             "ref-nested-too-deep",
+            "gen-not-utf-8",
+            "ref-not-utf-8",
         ],
     )
     def test_malformed_records_are_one_error_line(
@@ -799,9 +841,9 @@ class TestEvaluate:
     ):
         gen_path, _ = self.make_generated(tmp_path)
         if generated is not None:
-            gen_path.write_text(generated)
-        # A string is the references file's text; anything else is its one record.
-        if not isinstance(references, str):
+            write(gen_path, generated)
+        # A string or bytes is the references file's text; anything else is its one record.
+        if not isinstance(references, (str, bytes)):
             reference = self.REFERENCE if references is None else references
             references = json.dumps(reference) + "\n"
         assert self.evaluate(tmp_path, gen_path, references) == 1
