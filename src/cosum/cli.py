@@ -192,19 +192,21 @@ def _mean(values: Sequence[float]) -> Optional[float]:
 
 
 def _novelty(
-    tokens: Dict[str, List[str]], a: EntityReviewSet, b: EntityReviewSet
+    tokens: Dict[str, List[str]], a: EntityReviewSet, b: EntityReviewSet, sources
 ) -> Dict[str, Dict[str, Optional[float]]]:
     """Novel 1- and 2-gram rates of each side against its entities' reviews.
 
     No token spans a joining space, so an entity's source is its reviews'
     tokens back to back, and the common side's source is source_a +
     source_b: both sources' n-grams plus the junction bigram.
+    sources(entity_id, n) gives an entity's source n-grams.
     """
-    source_a, source_b = ([t for r in e.reviews for t in r.tokens] for e in (a, b))
+    junction = [t for r in a.reviews[::-1] for t in r.tokens[-1:]][:1]
+    junction += [t for r in b.reviews for t in r.tokens[:1]][:1]
     rates: Dict[str, Dict[str, Optional[float]]] = {side: {} for side in SIDES}
     for n in (1, 2):
-        grams_a, grams_b = set(ngrams(source_a, n)), set(ngrams(source_b, n))
-        common = grams_a | grams_b | set(ngrams(source_a[-1:] + source_b[:1], n))
+        grams_a, grams_b = sources(a.entity_id, n), sources(b.entity_id, n)
+        common = grams_a | grams_b | set(ngrams(junction, n))
         for side, source in zip(SIDES, (grams_a, grams_b, common)):
             grams = set(ngrams(tokens[side], n))
             rates[side][f"novel_{n}gram"] = novel_rate(grams, source) if grams else None
@@ -241,6 +243,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.reviews:
         corpus = {es.entity_id: es for es in load_reviews(args.reviews)}
 
+    @functools.cache  # one set per (entity, n), however many pairs share the entity
+    def sources(entity_id: str, n: int) -> set:
+        return set(ngrams([t for r in corpus[entity_id].reviews for t in r.tokens], n))
+
     per_pair = {}
     for pair_id, gen in sorted(generated.items()):
         ref = references[pair_id]
@@ -272,7 +278,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 for entity_id in entity_ids:
                     if entity_id not in corpus:
                         raise ValueError(f"unknown entity id: {entity_id}")
-                entry["novelty"] = _novelty(tokens, *(corpus[e] for e in entity_ids))
+                entry["novelty"] = _novelty(tokens, *(corpus[e] for e in entity_ids), sources)
         except ValueError as exc:
             raise ValueError(f"{args.generated}: pair {pair_id}: {exc}") from exc
         per_pair[pair_id] = entry

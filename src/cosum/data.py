@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .files import STRING, checked, lines, parse_json
@@ -90,7 +92,8 @@ class TfidfStats:
 
     def __init__(self, reviews: Sequence[Review]) -> None:
         self.n_docs = len(reviews)
-        self.df: Counter = Counter(t for r in reviews for t in set(r.tokens))
+        self.df: Counter = Counter(chain.from_iterable(set(r.tokens) for r in reviews))
+        self.idfs = {term: self.idf(term) for term in self.df}  # all >= 1: never falsy
 
     @classmethod
     def from_corpus(cls, corpus: Sequence[EntityReviewSet]) -> "TfidfStats":
@@ -101,8 +104,8 @@ class TfidfStats:
 
     def vector(self, review: Review) -> Dict[str, float]:
         tf = Counter(review.tokens)
-        vec = {term: count * self.idf(term) for term, count in tf.items()}
-        norm = math.sqrt(fold_sum(w * w for w in vec.values()))
+        vec = {t: c * (self.idfs.get(t) or self.idf(t)) for t, c in tf.items()}
+        norm = math.sqrt(fold_sum(map(operator.mul, vec.values(), vec.values())))
         if norm == 0.0:
             return {}
         return {term: w / norm for term, w in vec.items()}
@@ -117,7 +120,7 @@ def _cosine(va: Dict[str, float], vb: Dict[str, float]) -> float:
     # Walks the shorter vector (the first on a tie): order can move the last bit.
     if len(vb) < len(va):
         va, vb = vb, va
-    return fold_sum(w * vb.get(term, 0.0) for term, w in va.items())
+    return fold_sum(map(operator.mul, va.values(), map(vb.get, va, repeat(0.0))))
 
 
 @dataclass

@@ -22,6 +22,7 @@ def lines(path: str) -> Iterator[Tuple[str, str]]:
                 if line:
                     yield f"{path} line {lineno}", line
     except UnicodeDecodeError as exc:
+        read_text(path)  # names the offset in the file, not in exc's 8 KB chunk
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -33,14 +34,18 @@ def parse_json(text: str, where: str) -> object:
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def read_json(path: str) -> object:
-    """The JSON value of the whole file, parsed from its full text."""
+def read_text(path: str) -> str:
+    """The whole file's text; a bad byte is a ValueError naming path and its offset."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return parse_json(text, path)
+
+
+def read_json(path: str) -> object:
+    """The JSON value of the whole file, parsed from its full text."""
+    return parse_json(read_text(path), path)
 
 
 def checked(value: object, where: str, fields: dict) -> dict:

@@ -180,7 +180,7 @@ MODEL_FORMAT_VERSION = 1
 
 
 def save_model(lm: CacheInterpolatedLM, path: str) -> None:
-    """Serialize to a canonical JSON container (bit-exact round trip)."""
+    """Serialize to a canonical JSON container (bit-exact round trip, no cycles to check)."""
     rows = lm.background.counts  # contexts are unique, so they alone set the order
     counts = [[ctx, sorted(rows[ctx].items())] for ctx in sorted(rows)]
     payload = {
@@ -192,8 +192,8 @@ def save_model(lm: CacheInterpolatedLM, path: str) -> None:
         "cache_order": lm.cache_order,
         "counts": counts,
     }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    atomic_write_text(path, text)
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False)
+    atomic_write_text(path, text + "\n")
 
 
 _COUNT_ENTRY = (

@@ -56,7 +56,10 @@ def ngrams(tokens: Tokens, n: int) -> Iterator[Tuple[str, ...]]:
 
 def rouge_n(candidate: Tokens, reference: Tokens, n: int) -> RougeScore:
     """Clipped n-gram overlap precision/recall/F1."""
-    cand_grams = Counter(ngrams(candidate, n))
+    return _rouge_n_counted(Counter(ngrams(candidate, n)), reference, n)
+
+
+def _rouge_n_counted(cand_grams: Counter, reference: Tokens, n: int) -> RougeScore:
     ref_grams = Counter(ngrams(reference, n))
     total_cand = sum(cand_grams.values())
     total_ref = sum(ref_grams.values())
@@ -93,10 +96,11 @@ def rouge_multi(
     """Arithmetic mean of per-reference scores; n=None selects ROUGE-L."""
     if not references:
         raise ValueError("empty reference list")
-    scores = [
-        rouge_l(candidate, ref) if n is None else rouge_n(candidate, ref, n)
-        for ref in references
-    ]
+    if n is None:
+        scores = [rouge_l(candidate, ref) for ref in references]
+    else:
+        cand_grams = Counter(ngrams(candidate, n))
+        scores = [_rouge_n_counted(cand_grams, ref, n) for ref in references]
     k = len(scores)
     return RougeScore(
         precision=fold_sum(s.precision for s in scores) / k,

@@ -305,6 +305,11 @@ class TestSummarize:
         assert not out.exists()
 
     REVIEW = '{"entity_id": "x", "review_id": "1", "text": "ok"}\n'
+    # Past the text layer's first 8 KB chunk, so a bad byte's offset is not the chunk's.
+    LONG_REVIEWS = "".join(
+        json.dumps({"entity_id": "x", "review_id": str(i), "text": "ok " * 40}) + "\n"
+        for i in range(250)
+    ).encode()
 
     @pytest.mark.parametrize(
         "flags,model_text,reviews_text,config_text,named",
@@ -517,6 +522,29 @@ class TestSummarize:
             ),
             ([], None, None, "delta = 1000\n", "contrastive_a: a value overflowed: (34,"),
             (
+                ["--delta", "200"] + SHORT,
+                None,
+                None,
+                None,
+                "error: pair harbor_hotel|garden_inn, contrastive_a: a value underflowed or"
+                " overflowed: math domain error\n",
+            ),
+            (
+                ["--gamma", "1.5e308"] + SHORT,
+                None,
+                None,
+                None,
+                "error: pair harbor_hotel|garden_inn, common: a value underflowed or"
+                " overflowed: math domain error\n",
+            ),
+            (
+                [],
+                None,
+                LONG_REVIEWS + b"\xff\n",
+                None,
+                f"bad.jsonl: 'utf-8' codec can't decode byte 0xff in position {len(LONG_REVIEWS)}:",
+            ),
+            (
                 ["--pair", "x|y,z"],
                 None,
                 "".join(
@@ -591,6 +619,9 @@ class TestSummarize:
             "length-penalty-overflows",
             "gamma-overflows",
             "config-delta-overflows",
+            "delta-underflows",
+            "gamma-overflows-to-nan",
+            "review-not-utf-8-past-the-first-8-kb",
             "entity-id-holds-the-pair-separator",
         ],
     )
