@@ -21,6 +21,7 @@ from .decoding import (
     DecodeConfig,
     condition_pair,
     load_decode_config,
+    make_pair_id,
     summarize_pair,
 )
 from .files import atomic_write_text
@@ -149,6 +150,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         for entity_id in parts:
             if entity_id not in corpus:
                 raise ValueError(f"unknown entity id: {entity_id}")
+        make_pair_id(*parts)  # an id holding '|' fails before anything is decoded
         if tuple(parts) in pairs:
             raise ValueError(f"pair {spec!r} is given twice")
         pairs.append(tuple(parts))
@@ -166,13 +168,13 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         if out_paths.setdefault(path, point) is not point:
             raise ValueError(f"two grid points would write {path}")
     fingerprint = _sha256(args.model)
-    conditions = [condition_pair(lm, corpus[a], corpus[b]) for a, b in pairs]
-
+    records: Dict[str, List[dict]] = {path: [] for path in out_paths}
+    for a, b in pairs:  # one pair's conditions live at a time
+        pair = condition_pair(lm, corpus[a], corpus[b])
+        for out_path, point in out_paths.items():
+            records[out_path].append(dataclasses.asdict(summarize_pair(lm, pair, point)))
     for out_path, point in out_paths.items():
-        records = [
-            dataclasses.asdict(summarize_pair(lm, pair, point)) for pair in conditions
-        ]
-        atomic_write_text(out_path, _dump_json(records))
+        atomic_write_text(out_path, _dump_json(records[out_path]))
         _write_manifest(
             out_path,
             "summarize",

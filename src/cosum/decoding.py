@@ -185,14 +185,19 @@ class PairConditions:
     decoded: Dict[tuple, str] = field(default_factory=dict, compare=False, repr=False)
 
 
+def make_pair_id(entity_a: str, entity_b: str) -> str:
+    """'A|B'; an entity id that contains the separator is a ValueError."""
+    for entity_id in (entity_a, entity_b):
+        if "|" in entity_id:
+            raise ValueError(f"entity id {entity_id!r} contains the pair separator '|'")
+    return f"{entity_a}|{entity_b}"
+
+
 def condition_pair(
     lm: CacheInterpolatedLM, reviews_a: EntityReviewSet, reviews_b: EntityReviewSet
 ) -> PairConditions:
     """Build the pair's three conditions once; every decode of it reuses them."""
-    for entity_id in (reviews_a.entity_id, reviews_b.entity_id):
-        if "|" in entity_id:
-            raise ValueError(f"entity id {entity_id!r} contains the pair separator '|'")
-    pair_id = f"{reviews_a.entity_id}|{reviews_b.entity_id}"
+    pair_id = make_pair_id(reviews_a.entity_id, reviews_b.entity_id)
     a, b = reviews_a.texts, reviews_b.texts
     both = lm.condition(a + b)
     return PairConditions(pair_id, lm.condition(a), lm.condition(b), both)

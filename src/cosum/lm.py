@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Sequence, Tuple
 
 from .dists import TokenDist
 from .files import STRINGS, atomic_write_text, checked, read_json
-from .vocab import BOS, BOS_ID, EOS, EOS_ID, UNK, Vocabulary
+from .vocab import BOS, BOS_ID, EOS, EOS_ID, UNK, Vocabulary, encode_corpus
 
 Prefix = Tuple[int, ...]
 Counts = Dict[Prefix, Dict[int, int]]
@@ -170,8 +170,7 @@ def train_model(
     texts: Sequence[str], order: int, lam: float, eps: float
 ) -> CacheInterpolatedLM:
     """Fit the background n-gram LM on texts; the cache model shares its order."""
-    vocabulary = Vocabulary()
-    sequences = [vocabulary.encode(text, extend=True) for text in texts]
+    vocabulary, sequences = encode_corpus(texts)
     background = train_ngram(sequences, order, eps, vocabulary)
     return CacheInterpolatedLM(background, cache_order=order, lam=lam)
 

@@ -8,7 +8,7 @@ the whole pipeline.
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 # Word runs or single non-space punctuation marks; text is lowercased first.
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
@@ -32,42 +32,33 @@ def tokenize_text(text: str) -> List[str]:
 
 
 class Vocabulary:
-    """Dense, 0-based token-id mapping with reserved BOS/EOS/UNK ids."""
+    """Dense, 0-based token-id mapping with reserved BOS/EOS/UNK ids; fixed once built."""
 
     def __init__(self, tokens: Iterable[str] = ()) -> None:
-        # A repeated or reserved token keeps its first id, as add() gives it.
-        self._tokens: List[str] = list(dict.fromkeys((BOS, EOS, UNK, *tokens)))
-        self._index = {tok: tid for tid, tok in enumerate(self._tokens)}
+        # A repeated or reserved token keeps its first id.
+        self.tokens: Tuple[str, ...] = tuple(dict.fromkeys((BOS, EOS, UNK, *tokens)))
+        self._index = {tok: tid for tid, tok in enumerate(self.tokens)}
 
     def __len__(self) -> int:
-        return len(self._tokens)
-
-    @property
-    def tokens(self) -> Sequence[str]:
-        return tuple(self._tokens)
-
-    def add(self, token: str) -> int:
-        """Insert a token if new; return its id."""
-        tid = self._index.get(token)
-        if tid is None:
-            tid = len(self._tokens)
-            self._tokens.append(token)
-            self._index[token] = tid
-        return tid
+        return len(self.tokens)
 
     def lookup(self, token: str) -> int:
         """Token -> id, mapping unknown tokens to UNK."""
         return self._index.get(token, UNK_ID)
 
-    def encode(self, text: str, extend: bool = False) -> List[int]:
-        """Tokenize and map to ids; extend=True grows the vocabulary."""
-        words = tokenize_text(text)
-        if extend:
-            return [self.add(w) for w in words]
-        return [self.lookup(w) for w in words]
+    def encode(self, text: str) -> List[int]:
+        """Tokenize and map to ids, unknown tokens to UNK."""
+        return [self.lookup(w) for w in tokenize_text(text)]
 
     def decode(self, ids: Sequence[int]) -> str:
         """Space-join the tokens for the given ids, skipping BOS/EOS."""
         return " ".join(
-            self._tokens[i] for i in ids if i not in (BOS_ID, EOS_ID)
+            self.tokens[i] for i in ids if i not in (BOS_ID, EOS_ID)
         )
+
+
+def encode_corpus(texts: Iterable[str]) -> Tuple[Vocabulary, List[List[int]]]:
+    """The vocabulary of texts, with ids in order of first use, and each text's ids."""
+    index = {BOS: BOS_ID, EOS: EOS_ID, UNK: UNK_ID}
+    sequences = [[index.setdefault(w, len(index)) for w in tokenize_text(t)] for t in texts]
+    return Vocabulary(index), sequences

@@ -4,18 +4,13 @@ import random
 import pytest
 
 from cosum.lm import load_model, save_model, train_model, train_ngram
-from cosum.vocab import EOS_ID, Vocabulary
+from cosum.vocab import EOS_ID, Vocabulary, encode_corpus
 
 from test_dists import sums_to_one
 
 
-def make_vocab_and_corpus(texts):
-    v = Vocabulary()
-    return v, [v.encode(t, extend=True) for t in texts]
-
-
 def test_bigram_hand_counts():
-    v, corpus = make_vocab_and_corpus(["a b a b"])
+    v, corpus = encode_corpus(["a b a b"])
     lm = train_ngram(corpus, order=2, eps=1e-12, vocabulary=v)
     a = v.lookup("a")
     b = v.lookup("b")
@@ -23,7 +18,7 @@ def test_bigram_hand_counts():
 
 
 def test_unigram_hand_counts():
-    v, corpus = make_vocab_and_corpus(["a"])
+    v, corpus = encode_corpus(["a"])
     lm = train_ngram(corpus, order=1, eps=1e-12, vocabulary=v)
     d = lm.next_dist(())
     assert d.get(v.lookup("a")) == pytest.approx(0.5, abs=1e-8)
@@ -31,7 +26,7 @@ def test_unigram_hand_counts():
 
 
 def test_unseen_context_is_uniform():
-    v, corpus = make_vocab_and_corpus(["a b"])
+    v, corpus = encode_corpus(["a b"])
     lm = train_ngram(corpus, order=3, eps=0.1, vocabulary=v)
     d = lm.next_dist((v.lookup("b"), v.lookup("a"))).dense()
     values = set(round(p, 15) for p in d.entries.values())
@@ -47,13 +42,13 @@ def test_empty_corpus_rejected():
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
 def test_bad_smoothing_mass_rejected(eps):
-    v, corpus = make_vocab_and_corpus(["a b"])
+    v, corpus = encode_corpus(["a b"])
     with pytest.raises(ValueError, match="smoothing mass must be finite and > 0"):
         train_ngram(corpus, order=2, eps=eps, vocabulary=v)
 
 
 def test_next_dist_normalized_over_random_contexts():
-    v, corpus = make_vocab_and_corpus(
+    v, corpus = encode_corpus(
         ["a b c d e", "b c a e d", "e d c b a", "a c e b d"]
     )
     lm = train_ngram(corpus, order=3, eps=1e-4, vocabulary=v)
@@ -65,7 +60,7 @@ def test_next_dist_normalized_over_random_contexts():
 
 
 def test_next_dist_predicts_every_id_but_bos():
-    v, corpus = make_vocab_and_corpus(["a b"])
+    v, corpus = encode_corpus(["a b"])
     lm = train_ngram(corpus, order=2, eps=1e-4, vocabulary=v)
     for prefix in [(v.lookup("a"),), (EOS_ID,)]:  # a seen and an unseen context
         assert list(lm.next_dist(prefix).dense().entries) == list(range(1, len(v)))
