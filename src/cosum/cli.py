@@ -31,7 +31,7 @@ from .metrics import (
     fold_sum,
     intra_pair_score,
     ngrams,
-    novel_rate,
+    novel_ngram_rate,
     rouge_multi,
 )
 from .vocab import tokenize_text
@@ -70,8 +70,6 @@ def _write_manifest(
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    if not os.path.exists(args.reviews):
-        raise ValueError(f"corpus not found: {args.reviews}")
     corpus = load_reviews(args.reviews)
     texts = [r.text for es in corpus for r in es.reviews]
     lm = train_model(texts, args.order, args.lam, args.eps)
@@ -211,7 +209,7 @@ def _novelty(
         common = grams_a | grams_b | set(ngrams(junction, n))
         for side, source in zip(SIDES, (grams_a, grams_b, common)):
             grams = set(ngrams(tokens[side], n))
-            rates[side][f"novel_{n}gram"] = novel_rate(grams, source) if grams else None
+            rates[side][f"novel_{n}gram"] = novel_ngram_rate(grams, source) if grams else None
     return rates
 
 

@@ -111,12 +111,8 @@ class TfidfStats:
         return {term: w / norm for term, w in vec.items()}
 
 
-def tfidf_similarity(a: Review, b: Review, stats: TfidfStats) -> float:
-    """Cosine similarity of L2-normalized TF-IDF unigram vectors."""
-    return _cosine(stats.vector(a), stats.vector(b))
-
-
-def _cosine(va: Dict[str, float], vb: Dict[str, float]) -> float:
+def tfidf_similarity(va: Dict[str, float], vb: Dict[str, float]) -> float:
+    """Cosine similarity of two reviews' TF-IDF vectors, as `TfidfStats.vector` gives them."""
     # Walks the shorter vector (the first on a tie): order can move the last bit.
     if len(vb) < len(va):
         va, vb = vb, va
@@ -205,7 +201,7 @@ def build_synthetic(
             # The objective is a separable sum, so the best size-n subset
             # is the n individually most similar candidates.
             chosen = sorted(
-                ((_cosine(vr, vectors[c]), c) for c in candidates),
+                ((tfidf_similarity(vr, vectors[c]), c) for c in candidates),
                 key=lambda scored: (-scored[0], scored[1].review_id),
             )[:n]
             pairs.append(
@@ -248,7 +244,7 @@ def build_synthetic(
             counterpart = min(
                 candidates,
                 key=lambda other: (
-                    -_cosine(vp, summary_vectors[other.pseudo_summary]),
+                    -tfidf_similarity(vp, summary_vectors[other.pseudo_summary]),
                     other.entity_id,
                     other.pseudo_summary.review_id,
                 ),

@@ -122,13 +122,8 @@ def intra_pair_score(
     )
 
 
-def novel_rate(summary_grams: Set[tuple], input_grams: Set[tuple]) -> float:
-    """Fraction of the summary's distinct n-grams absent from the input's."""
-    return len(summary_grams - input_grams) / len(summary_grams)
-
-
-def novel_ngram_rate(summary: Tokens, input_tokens: Tokens, n: int) -> float:
-    """Fraction of distinct summary n-grams absent from the input."""
-    if len(summary) < n:
+def novel_ngram_rate(summary_grams: Set[tuple], input_grams: Set[tuple]) -> float:
+    """Fraction of the summary's distinct n-grams absent from the input's n-gram set."""
+    if not summary_grams:
         raise ValueError("summary too short")
-    return novel_rate(set(ngrams(summary, n)), set(ngrams(input_tokens, n)))
+    return len(summary_grams - input_grams) / len(summary_grams)

@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 
 from cosum.cli import main
-from cosum.data import TfidfStats, build_synthetic, tfidf_similarity
+from cosum.data import TfidfStats, build_synthetic
 from cosum.decoding import (
     DecodeConfig,
     aggregate_common,
@@ -28,6 +28,7 @@ from cosum.dists import TokenDist, top_p_truncate
 from cosum.metrics import (
     distinctiveness,
     intra_pair_score,
+    ngrams,
     novel_ngram_rate,
     rouge_l,
     rouge_n,
@@ -177,9 +178,13 @@ def test_criterion_5_metric_oracles():
         assert abs(ds - expected) < 1e-9
 
     assert distinctiveness(Counter("a b".split()), Counter("c".split()), Counter("d".split())) == 1.0
-    assert abs(novel_ngram_rate("a b".split(), "a".split(), 1) - 0.5) < 1e-9
-    assert novel_ngram_rate("a b c".split(), "a b c d".split(), 2) == 0.0
-    assert novel_ngram_rate("x y".split(), "a b".split(), 1) == 1.0
+
+    def grams(text, n):
+        return set(ngrams(text.split(), n))
+
+    assert abs(novel_ngram_rate(grams("a b", 1), grams("a", 1)) - 0.5) < 1e-9
+    assert novel_ngram_rate(grams("a b c", 2), grams("a b c d", 2)) == 0.0
+    assert novel_ngram_rate(grams("x y", 1), grams("a b", 1)) == 1.0
     report("5 metric oracles match hand computations")
 
 

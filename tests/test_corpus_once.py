@@ -1,13 +1,16 @@
 """The corpus path computes each IDF, candidate count and source set once.
 
-`data._cosine` and `TfidfStats.vector` sum with C-level `map`/`reduce`;
-the property tests hold them to the generator-based `fold_sum` forms they
-replace, bit for bit and type for type. The counting tests pin one `idf`
-per corpus term in `build_synthetic`, one candidate n-gram count per
-(candidate, n) in `rouge_multi`, and one source n-gram set per (entity, n)
-in `cosum evaluate`.
+`data.tfidf_similarity` and `TfidfStats.vector` sum with C-level
+`map`/`reduce`; the property tests hold them to the generator-based
+`fold_sum` forms they replace, bit for bit and type for type. The counting
+tests pin one `idf` per corpus term in `build_synthetic`, one candidate
+n-gram count per (candidate, n) in `rouge_multi`, and one source n-gram set
+per (entity, n) in `cosum evaluate`; and they check that `build_synthetic`
+scores through `tfidf_similarity` and `cosum evaluate` through
+`novel_ngram_rate`, the names the corpus benchmark times.
 """
 
+import json
 import math
 from collections import Counter
 
@@ -15,10 +18,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cosum.cli
+import cosum.data
 import cosum.metrics
 from cosum.cli import main
-from cosum.data import Review, TfidfStats, _cosine, build_synthetic, load_reviews
-from cosum.metrics import fold_sum, rouge_multi, rouge_n
+from cosum.data import Review, TfidfStats, build_synthetic, load_reviews, tfidf_similarity
+from cosum.metrics import fold_sum, ngrams, rouge_multi, rouge_n
+from cosum.vocab import tokenize_text
 
 from test_golden_corpus import PAIRS, write_inputs
 
@@ -49,13 +54,13 @@ VECTORS = st.dictionaries(TERMS, WEIGHTS, max_size=12)
 
 @given(VECTORS, VECTORS)
 def test_cosine_matches_fold_sum_reference(va, vb):
-    assert bits(_cosine(va, vb)) == bits(reference_cosine(va, vb))
+    assert bits(tfidf_similarity(va, vb)) == bits(reference_cosine(va, vb))
 
 
 @given(VECTORS, st.dictionaries(st.sampled_from(["x", "y", "z"]), WEIGHTS))
 def test_cosine_of_disjoint_or_empty_vectors(va, vb):
     # No shared term: every product is w * 0.0, and an empty walk is the int 0.
-    got = _cosine(va, vb)
+    got = tfidf_similarity(va, vb)
     assert bits(got) == bits(reference_cosine(va, vb))
     if not va or not vb:
         assert type(got) is int and got == 0
@@ -65,8 +70,8 @@ def test_cosine_of_disjoint_or_empty_vectors(va, vb):
 def test_cosine_of_equal_length_vectors_walks_the_first(rows):
     va = {term: w for term, w, _ in rows}
     vb = {term: w for term, _, w in reversed(rows)}
-    assert bits(_cosine(va, vb)) == bits(reference_cosine(va, vb))
-    assert bits(_cosine(va, vb)) == bits(fold_sum(w * vb[t] for t, w in va.items()))
+    assert bits(tfidf_similarity(va, vb)) == bits(reference_cosine(va, vb))
+    assert bits(tfidf_similarity(va, vb)) == bits(fold_sum(w * vb[t] for t, w in va.items()))
 
 
 TEXTS = st.lists(st.sampled_from(["room", "pool", "staff", "view", "bar", "."]), max_size=30)
@@ -152,3 +157,68 @@ def test_evaluate_builds_each_source_set_once(tmp_path, monkeypatch):
     in_pairs = {entity_id for pair in PAIRS for entity_id in pair}
     # Every entity of PAIRS is in two pairs, so a per-pair build would count 2.
     assert built == Counter({(e, n): 1 for e in in_pairs for n in (1, 2)})
+
+
+def test_build_synthetic_scores_every_candidate_through_tfidf_similarity(tmp_path, monkeypatch):
+    corpus = load_reviews(write_inputs(str(tmp_path))["reviews.jsonl"])
+    stats = TfidfStats.from_corpus(corpus)
+    seen = []
+
+    def recording_similarity(va, vb):
+        seen.append(tfidf_similarity(va, vb))
+        return seen[-1]
+
+    monkeypatch.setattr(cosum.data, "tfidf_similarity", recording_similarity)
+    for task in ("contrastive", "common"):
+        seen.clear()
+        result = build_synthetic(corpus, task, 3, 1000)
+        # k exceeds the pair count and no counterpart is dropped, so every
+        # review that build_synthetic ranks candidates for is a pair's summary.
+        assert result.pairs and all("counterpart" not in s["reason"] for s in result.skipped)
+        want = []
+        for pair in result.pairs:
+            vr = stats.vector(pair.pseudo_summary)
+            entity = next(es for es in corpus if es.entity_id == pair.entity_id)
+            want += [
+                reference_cosine(vr, stats.vector(c))
+                for c in entity.reviews
+                if c is not pair.pseudo_summary and 50 <= len(c.tokens) <= 150
+            ]
+            if task == "common":
+                want += [
+                    reference_cosine(vr, stats.vector(other.pseudo_summary))
+                    for other in result.pairs
+                    if other.entity_id != pair.entity_id
+                ]
+        assert Counter(map(bits, seen)) == Counter(map(bits, want)), task
+
+
+def test_evaluate_scores_novelty_through_novel_ngram_rate(tmp_path, monkeypatch):
+    inputs = write_inputs(str(tmp_path))
+    with open(inputs["generated.json"]) as fh:
+        generated = json.load(fh)
+    generated[0]["common"] = "clean"  # no bigram: novel_2gram is null, not scored
+    with open(inputs["generated.json"], "w") as fh:
+        json.dump(generated, fh)
+    seen = Counter()
+    novel_ngram_rate = cosum.cli.novel_ngram_rate
+
+    def counting_rate(summary_grams, input_grams):
+        seen[frozenset(summary_grams)] += 1
+        return novel_ngram_rate(summary_grams, input_grams)
+
+    monkeypatch.setattr(cosum.cli, "novel_ngram_rate", counting_rate)
+    argv = [
+        "evaluate", "--generated", inputs["generated.json"],
+        "--references", inputs["references.jsonl"],
+        "--reviews", inputs["reviews.jsonl"], "--out", str(tmp_path / "evaluation.json"),
+    ]
+    assert main(argv) == 0
+    want = Counter(
+        frozenset(ngrams(tokenize_text(record[side]), n))
+        for record in generated
+        for side in ("contrastive_a", "contrastive_b", "common")
+        for n in (1, 2)
+        if len(tokenize_text(record[side])) >= n
+    )
+    assert seen == want and sum(want.values()) == 6 * len(PAIRS) - 1

@@ -116,13 +116,14 @@ class TestTfidfSimilarity:
         r1 = Review("e", "1", "great pool and staff")
         r2 = Review("e", "2", "great pool and staff")
         stats = TfidfStats([r1, r2])
-        assert tfidf_similarity(r1, r2, stats) == pytest.approx(1.0, abs=1e-9)
+        similarity = tfidf_similarity(stats.vector(r1), stats.vector(r2))
+        assert similarity == pytest.approx(1.0, abs=1e-9)
 
     def test_disjoint_reviews(self):
         r1 = Review("e", "1", "alpha beta")
         r2 = Review("e", "2", "gamma delta")
         stats = TfidfStats([r1, r2])
-        assert tfidf_similarity(r1, r2, stats) == 0.0
+        assert tfidf_similarity(stats.vector(r1), stats.vector(r2)) == 0.0
 
     def test_hand_computed_three_document_corpus(self):
         r1 = Review("e", "1", "pool pool staff")
@@ -136,13 +137,16 @@ class TestTfidfSimilarity:
         n1 = math.sqrt(sum(w * w for w in v1.values()))
         n2 = math.sqrt(sum(w * w for w in v2.values()))
         expected = (v1["pool"] / n1) * (v2["pool"] / n2)
-        assert tfidf_similarity(r1, r2, stats) == pytest.approx(expected, abs=1e-9)
+        similarity = tfidf_similarity(stats.vector(r1), stats.vector(r2))
+        assert similarity == pytest.approx(expected, abs=1e-9)
 
 
 def brute_force_top_subset(review, candidates, n, stats):
+    vr = stats.vector(review)
+    scores = {c: tfidf_similarity(vr, stats.vector(c)) for c in candidates}
     best = None
     for subset in itertools.combinations(candidates, n):
-        total = sum(tfidf_similarity(review, c, stats) for c in subset)
+        total = sum(scores[c] for c in subset)
         key = (-total, tuple(sorted(c.review_id for c in subset)))
         if best is None or key < best[0]:
             best = (key, subset)

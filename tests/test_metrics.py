@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cosum.metrics import (
     distinctiveness,
     intra_pair_score,
+    ngrams,
     novel_ngram_rate,
     rouge_l,
     rouge_multi,
@@ -183,17 +184,21 @@ class TestIntraPair:
             intra_pair_score([], "a".split())
 
 
+def grams(text, n):
+    return set(ngrams(text.split(), n))
+
+
 class TestNovelNgrams:
     def test_verbatim_summary_zero(self):
-        assert novel_ngram_rate("a b c".split(), "a b c d".split(), 2) == 0.0
+        assert novel_ngram_rate(grams("a b c", 2), grams("a b c d", 2)) == 0.0
 
     def test_disjoint_summary_one(self):
-        assert novel_ngram_rate("x y".split(), "a b".split(), 1) == 1.0
+        assert novel_ngram_rate(grams("x y", 1), grams("a b", 1)) == 1.0
 
     def test_half_novel(self):
-        assert novel_ngram_rate("a b".split(), "a".split(), 1) == pytest.approx(0.5)
+        assert novel_ngram_rate(grams("a b", 1), grams("a", 1)) == pytest.approx(0.5)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="summary too short"):
-            novel_ngram_rate("a".split(), "a b".split(), 2)
+            novel_ngram_rate(grams("a", 2), grams("a b", 2))
 
