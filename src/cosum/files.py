@@ -61,17 +61,23 @@ def checked(value: object, where: str, fields: dict) -> dict:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write path through a temporary file, with the mode open(path, "w") gives."""
+    """Write path through a temporary file, with the mode open(path, "w") gives.
+
+    An OSError names path, not the temporary file it arose on.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     umask = os.umask(0)
     os.umask(umask)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.chmod(tmp, 0o666 & ~umask)
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                os.chmod(tmp, 0o666 & ~umask)
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc

@@ -122,21 +122,20 @@ class CacheModel:
 class CacheInterpolatedLM:
     """lambda * cache(prefix | reviews) + (1 - lambda) * background(prefix).
 
-    ``condition(texts)`` builds the cache model once; ``next_dist`` takes
-    it for every step conditioned on those texts and memoises its answers
-    there, keyed by the longest context either model reads.
+    Both models read the background's order. ``condition(texts)`` builds
+    the cache model once; ``next_dist`` takes it for every step conditioned
+    on those texts and memoises its answers there, keyed by that context.
     """
 
-    def __init__(
-        self, background: NGramLM, cache_order: int, lam: float
-    ) -> None:
+    def __init__(self, background: NGramLM, lam: float) -> None:
         if not 0.0 <= lam <= 1.0:
             raise ValueError("interpolation weight must be in [0, 1]")
-        if cache_order < 1:
-            raise ValueError("cache order must be >= 1")
         self.background = background
-        self.cache_order = cache_order
         self.lam = lam
+
+    @property
+    def cache_order(self) -> int:
+        return self.background.order
 
     @property
     def vocabulary(self) -> Vocabulary:
@@ -144,10 +143,10 @@ class CacheInterpolatedLM:
 
     def condition(self, texts: Sequence[str]) -> CacheModel:
         """The cache model over texts (unknown words map to UNK)."""
-        return CacheModel(texts, self.vocabulary, self.cache_order)
+        return CacheModel(texts, self.vocabulary, self.background.order)
 
     def next_dist(self, prefix: Sequence[int], condition: CacheModel) -> TokenDist:
-        key = _context(prefix, max(self.background.order, self.cache_order) - 1)
+        key = _context(prefix, self.background.order - 1)
         dist = condition.memo.get(key)
         if dist is None:
             dist = condition.memo[key] = self._interpolate(key, condition)
@@ -172,7 +171,7 @@ def train_model(
     """Fit the background n-gram LM on texts; the cache model shares its order."""
     vocabulary, sequences = encode_corpus(texts)
     background = train_ngram(sequences, order, eps, vocabulary)
-    return CacheInterpolatedLM(background, cache_order=order, lam=lam)
+    return CacheInterpolatedLM(background, lam)
 
 
 MODEL_FORMAT_VERSION = 1
@@ -250,12 +249,9 @@ def load_model(path: str) -> CacheInterpolatedLM:
         raise ValueError(f"{path}: 'vocabulary' must be {_VOCABULARY}")
     try:
         background = NGramLM(payload["order"], vocabulary, payload["eps"])
-        lm = CacheInterpolatedLM(background, payload["cache_order"], payload["lambda"])
+        lm = CacheInterpolatedLM(background, payload["lambda"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    # train writes equal orders and some counts; a context's length bounds order.
-    if lm.cache_order > background.order:
-        raise ValueError(f"{path}: 'cache_order' must be at most 'order'")
     if not payload["counts"]:
         raise ValueError(f"{path}: 'counts' must not be empty")
     entries, ctx_len, size = payload["counts"], background.order - 1, len(vocabulary)
@@ -281,4 +277,6 @@ def load_model(path: str) -> CacheInterpolatedLM:
             if sum(counter.values()) > sys.float_info.max:
                 raise ValueError(f"{path}: 'counts' entry {index} sums past the float range")
             counts[ctx] = counter
+    if payload["cache_order"] != background.order:
+        raise ValueError(f"{path}: 'cache_order' must equal 'order'")
     return lm

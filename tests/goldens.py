@@ -1,7 +1,8 @@
 """The golden runs, free of pytest, so any interpreter can replay them.
 
-The decode cases cover every mode plus one δ/γ sweep on the sample corpus;
-the corpus cases are `test_golden_corpus.run`. Run as a script,
+The decode cases cover every mode, one δ/γ sweep and one decode whose nuclei
+reach the smoothing tail, on the sample corpus; the corpus cases are
+`test_golden_corpus.run`. Run as a script,
 
     PYTHONPATH=src python tests/goldens.py
 
@@ -46,6 +47,8 @@ def cases():
     for mode in ALL_MODES:
         yield f"{mode}.json", ["--mode", mode], [f"{mode}.json"]
     yield "sweep.json", SWEEP, [f"sweep.{point}.json" for point in SWEEP_POINTS]
+    # Nuclei wide enough to reach the smoothing tail, which no case above does.
+    yield "tail.json", ["--top-p", "0.99999"], ["tail.json"]
 
 
 def differing(outdir, produced):

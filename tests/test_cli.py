@@ -182,6 +182,20 @@ class TestTrain:
         assert capsys.readouterr().err == err
         assert not list(tmp_path.iterdir())
 
+    def test_missing_output_directory_names_the_output(
+        self, model_path, corpus_path, tmp_path, capsys
+    ):
+        # Not the temporary file the output is written through.
+        out = str(tmp_path / "none" / "x.json")
+        err = f"error: [Errno 2] No such file or directory: {out!r}\n"
+        assert main(["train", "--reviews", corpus_path, "--out", out]) == 1
+        assert capsys.readouterr().err == err
+        argv = ["summarize", "--model", model_path, "--reviews", corpus_path]
+        argv += ["--pair", "harbor_hotel,garden_inn", "--out", out] + SHORT
+        assert main(argv) == 1
+        assert capsys.readouterr().err == err
+        assert not list(tmp_path.iterdir())
+
 
 class TestBuildSynthetic:
     def test_short_reviews_give_empty_output_and_exit_zero(
@@ -482,7 +496,14 @@ class TestSummarize:
                 model(cache_order=10**400),
                 None,
                 None,
-                "bad_model.json: 'cache_order' must be at most 'order'\n",
+                "bad_model.json: 'cache_order' must equal 'order'\n",
+            ),
+            (
+                [],
+                model(order=2, cache_order=1, counts=[[[0], [[1, 1]]]]),
+                None,
+                None,
+                "bad_model.json: 'cache_order' must equal 'order'\n",
             ),
             ([], "[" * 100_000, None, None, "bad_model.json: maximum recursion depth"),
             (
@@ -613,6 +634,7 @@ class TestSummarize:
             "model-counts-empty",
             "model-order-past-its-contexts",
             "model-cache-order-past-order",
+            "model-cache-order-below-order",
             "model-nested-too-deep",
             "review-nested-too-deep",
             "model-not-utf-8",

@@ -213,7 +213,7 @@ class TestPairConditions:
         background_calls = self.count_calls(monkeypatch, NGramLM, "next_dist")
         lm_calls = self.count_calls(monkeypatch, CacheInterpolatedLM, "next_dist")
         summarize_pair(trained_lm, pair, DecodeConfig(**FAST))
-        width = max(trained_lm.background.order, trained_lm.cache_order) - 1
+        width = trained_lm.background.order - 1
         keys = {(id(cond), _context(prefix, width)) for _, prefix, cond in lm_calls}
         conditions = (pair.a, pair.b, pair.both)
         assert len(lm_calls) > len(keys)
@@ -230,9 +230,7 @@ class TestPairConditions:
         ra = corpus_by_entity["harbor_hotel"]
         rb = corpus_by_entity["garden_inn"]
         encodes = self.count_calls(monkeypatch, Vocabulary, "encode")
-        background_only = CacheInterpolatedLM(
-            trained_lm.background, trained_lm.cache_order, 0.0
-        )
+        background_only = CacheInterpolatedLM(trained_lm.background, 0.0)
         summarize(background_only, ra, rb, DecodeConfig(**FAST))
         assert encodes == []
         pair = condition_pair(trained_lm, ra, rb)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosum.dists import TokenDist, top_p_truncate
-from cosum.lm import CacheInterpolatedLM, train_model
+from cosum.lm import train_model
 from cosum.vocab import BOS_ID
 
 TOP_PS = (0.2, 0.9, 1.0)
@@ -67,7 +67,6 @@ def texts_of(words, max_texts):
     train=texts_of(WORDS, 4),
     cond=texts_of(WORDS + UNSEEN, 3),
     order=st.integers(min_value=1, max_value=3),
-    cache_order=st.integers(min_value=1, max_value=3),
     lam=st.sampled_from((0.0, 0.3, 1.0)),
     eps=st.sampled_from((0.1, 1e-4)),
     raw_prefixes=st.lists(
@@ -76,11 +75,8 @@ def texts_of(words, max_texts):
         max_size=4,
     ),
 )
-def test_sparse_matches_dense_reference(
-    train, cond, order, cache_order, lam, eps, raw_prefixes
-):
+def test_sparse_matches_dense_reference(train, cond, order, lam, eps, raw_prefixes):
     lm = train_model(train, order=order, lam=lam, eps=eps)
-    lm = CacheInterpolatedLM(lm.background, cache_order, lam)
     size = len(lm.vocabulary)
     prefixes = [tuple(1 + t % (size - 1) for t in raw) for raw in raw_prefixes]
     assert_matches_reference(lm, prefixes, cond)

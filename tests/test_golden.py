@@ -1,4 +1,5 @@
-"""Golden `cosum summarize` outputs: every decode mode plus one grid sweep.
+"""Golden `cosum summarize` outputs: every decode mode, one grid sweep and one
+decode whose nuclei reach the smoothing tail.
 
 The expected files under tests/golden/ pin the summaries byte for byte, so
 a refactor of decoding must reproduce them exactly. A change that is meant
