@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import hashlib
 import itertools
@@ -165,6 +166,8 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         path = f"{stem}.d{delta:g}_g{gamma:g}{ext or '.json'}" if sweep else args.out
         if out_paths.setdefault(path, point) is not point:
             raise ValueError(f"two grid points would write {path}")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     fingerprint = _sha256(args.model)
     records: Dict[str, List[dict]] = {path: [] for path in out_paths}
     for a, b in pairs:  # one pair's conditions live at a time

@@ -349,8 +349,6 @@ def summarize_pair(
                 tokens = beam_decode(step(lm), cfg, max_len, step(masked_lm))
             except (ValueError, OverflowError) as exc:
                 what = "a value overflowed: " if isinstance(exc, OverflowError) else ""
-                if str(exc) == "math domain error":  # log(0.0): an entry rounded to 0
-                    what = "a value underflowed or overflowed: "
                 raise ValueError(f"pair {pair.pair_id}, {name}: {what}{exc}") from exc
             pair.decoded[key] = lm.vocabulary.decode(tokens)
         return pair.decoded[key]

@@ -28,14 +28,19 @@ class TokenDist:
     ) -> "TokenDist":
         """Drop zeros and normalize, with ``tail`` on each of the n ids in
         [1, size) left without a weight. fsum rounds the total once (the tail
-        enters as tail * 2**k per set bit k of n), so all orders and Pythons agree."""
+        enters as tail * 2**k per set bit k of n), so all orders and Pythons agree.
+        An infinite total or a weight that normalizes to 0.0 is a ValueError."""
         positive = {t: w for t, w in weights.items() if w > 0.0}
         n = size - 1 - len(positive) if tail else 0
         bits = [tail * (1 << k) for k in range(n.bit_length()) if n >> k & 1]
         total = math.fsum([*positive.values(), *bits])
         if not total:
             return TokenDist({})
+        if not math.isfinite(total):
+            raise ValueError(f"a weight overflowed: the total is {total}")
         entries = {t: w / total for t, w in positive.items()}
+        if not min(entries.values(), default=1.0) or (tail and not tail / total):
+            raise ValueError("a probability underflowed to 0.0")
         return TokenDist(entries, tail / total, size)
 
     @property

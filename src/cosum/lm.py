@@ -9,6 +9,7 @@ depend on which entity's reviews condition the step.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import json
 import math
@@ -237,7 +238,20 @@ _MODEL_FIELDS = {
 
 
 def load_model(path: str) -> CacheInterpolatedLM:
-    """Read a save_model file; every malformed value is a ValueError naming path."""
+    """Read a save_model file; every malformed value is a ValueError naming path.
+
+    The cyclic collector is paused meanwhile and left as found: the parse
+    builds tens of thousands of containers, none in a cycle."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_model(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_model(path: str) -> CacheInterpolatedLM:
     payload = checked(read_json(path), path, {})
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:

@@ -183,18 +183,23 @@ class TestTrain:
         assert not list(tmp_path.iterdir())
 
     def test_missing_output_directory_names_the_output(
-        self, model_path, corpus_path, tmp_path, capsys
+        self, model_path, corpus_path, tmp_path, capsys, monkeypatch
     ):
         # Not the temporary file the output is written through.
         out = str(tmp_path / "none" / "x.json")
         err = f"error: [Errno 2] No such file or directory: {out!r}\n"
         assert main(["train", "--reviews", corpus_path, "--out", out]) == 1
         assert capsys.readouterr().err == err
+        decoded, decode = [], cosum.cli.summarize_pair
+        monkeypatch.setattr(
+            cosum.cli, "summarize_pair", lambda *args: decoded.append(args) or decode(*args)
+        )
         argv = ["summarize", "--model", model_path, "--reviews", corpus_path]
         argv += ["--pair", "harbor_hotel,garden_inn", "--out", out] + SHORT
         assert main(argv) == 1
         assert capsys.readouterr().err == err
         assert not list(tmp_path.iterdir())
+        assert decoded == []  # found before any pair is decoded
 
 
 class TestBuildSynthetic:
@@ -560,16 +565,16 @@ class TestSummarize:
                 None,
                 None,
                 None,
-                "error: pair harbor_hotel|garden_inn, contrastive_a: a value underflowed or"
-                " overflowed: math domain error\n",
+                "error: pair harbor_hotel|garden_inn, contrastive_a: a probability"
+                " underflowed to 0.0\n",
             ),
             (
                 ["--gamma", "1.5e308"] + SHORT,
                 None,
                 None,
                 None,
-                "error: pair harbor_hotel|garden_inn, common: a value underflowed or"
-                " overflowed: math domain error\n",
+                "error: pair harbor_hotel|garden_inn, common: a weight overflowed:"
+                " the total is inf\n",
             ),
             (
                 [],

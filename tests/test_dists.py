@@ -59,12 +59,32 @@ def test_from_weights_is_independent_of_insertion_order():
     st.integers(min_value=51, max_value=5000),
 )
 def test_tail_normalizes_like_the_dense_list(weights, tail, size):
-    d = TokenDist.from_weights(weights, tail, size)
     # A zero weight is dropped, so its id takes the tail like an unlisted one.
     dense = {t: weights.get(t) or tail for t in range(1, size)}
     total = math.fsum(dense.values())
+    expected = {t: w / total for t, w in dense.items()}
+    if 0.0 in expected.values():  # a subnormal weight divided by the total
+        with pytest.raises(ValueError, match="underflowed"):
+            TokenDist.from_weights(weights, tail, size)
+        return
+    d = TokenDist.from_weights(weights, tail, size)
     assert d.tail == tail / total and d.size == size
-    assert d.dense().entries == {t: w / total for t, w in dense.items()}
+    assert d.dense().entries == expected
+
+
+@pytest.mark.parametrize(
+    "weights, tail, size, message",
+    [
+        ({1: 5e-324, 2: 2.0}, 0.0, 0, "a probability underflowed to 0.0"),
+        ({1: 4.0}, 5e-324, 4, "a probability underflowed to 0.0"),
+        ({1: math.inf, 2: 1.0}, 0.0, 0, "a weight overflowed: the total is inf"),
+    ],
+    ids=["entry-underflows", "tail-underflows", "weight-is-inf"],
+)
+def test_from_weights_keeps_entries_positive_and_finite(weights, tail, size, message):
+    with pytest.raises(ValueError) as caught:
+        TokenDist.from_weights(weights, tail, size)
+    assert str(caught.value) == message
 
 
 def test_hand_truncation():

@@ -1,4 +1,5 @@
-"""load_model's bulk check of the counts table against the per-entry reference.
+"""load_model's bulk check of the counts table against the per-entry reference,
+and its pause of the cyclic garbage collector.
 
 `_count_entry` and `reference_counts` are the per-entry check load_model ran
 before it checked the whole table at once, kept verbatim but for the names
@@ -7,6 +8,7 @@ load_model must give the same counts, in the same order, or the same error
 message.
 """
 
+import gc
 import json
 import sys
 from typing import Dict, Optional, Tuple
@@ -177,3 +179,56 @@ def test_bulk_load_matches_the_per_entry_reference(model_file, table, data):
     path = str(model_file)
     expected = outcome(lambda: reference_counts(path, json.loads(text)["counts"], order, size))
     assert outcome(lambda: load_model(path).background.counts) == expected
+
+
+def collections_inside_load_model(path: str) -> list:
+    """Generations of the collections that start while load_model(path) runs."""
+    generations = []
+
+    def on_collection(phase: str, info: dict) -> None:
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not load_model.__code__:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            generations.append(info["generation"])
+
+    gc.callbacks.append(on_collection)
+    try:
+        load_model(path)
+    finally:
+        gc.callbacks.remove(on_collection)
+    return generations
+
+
+def test_load_model_runs_no_cyclic_collection_and_restores_the_collector(tmp_path):
+    # Each entry parses to 5 lists and loads as a tuple and a dict, so the
+    # load allocates about 14 times the threshold that starts a collection.
+    n = 2 * gc.get_threshold()[0]
+    entries = [[[c], [[1, 2], [c + 1, 3]]] for c in range(2, n + 2)]
+    good = {
+        "format_version": 1,
+        "vocabulary": [f"w{i}" for i in range(n + 1)],
+        "order": 2,
+        "eps": 0.1,
+        "lambda": 0.5,
+        "cache_order": 2,
+        "counts": entries,
+    }
+    good_path, bad_path = tmp_path / "good.json", tmp_path / "bad.json"
+    good_path.write_text(json.dumps(good))
+    bad_path.write_text(json.dumps({**good, "counts": entries + [[[1], [[1, 0]]]]}))
+    assert gc.isenabled()
+    assert collections_inside_load_model(str(good_path)) == []
+    assert gc.isenabled()
+    with pytest.raises(ValueError, match=f"'counts' entry {n + 1} must be"):
+        collections_inside_load_model(str(bad_path))
+    assert gc.isenabled()
+    gc.disable()  # a caller's choice outlives the load, good file or bad
+    try:
+        load_model(str(good_path))
+        assert not gc.isenabled()
+        with pytest.raises(ValueError):
+            load_model(str(bad_path))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
