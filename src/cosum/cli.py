@@ -139,6 +139,9 @@ def _parse_grid(raw: str) -> List[float]:
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:
+    for name in ("delta", "gamma"):
+        if getattr(args, name) is not None and getattr(args, name + "_grid") is not None:
+            raise ValueError(f"--{name} and --{name}-grid both set {name}; give one")
     lm = load_model(args.model)
     corpus = {es.entity_id: es for es in load_reviews(args.reviews)}
     pairs = []

@@ -105,9 +105,8 @@ class TfidfStats:
     def vector(self, review: Review) -> Dict[str, float]:
         tf = Counter(review.tokens)
         vec = {t: c * (self.idfs.get(t) or self.idf(t)) for t, c in tf.items()}
+        # Each weight is a count >= 1 times an idf >= 1, so only an empty vec has norm 0.
         norm = math.sqrt(fold_sum(map(operator.mul, vec.values(), vec.values())))
-        if norm == 0.0:
-            return {}
         return {term: w / norm for term, w in vec.items()}
 
 

@@ -33,7 +33,10 @@ class TokenDist:
         positive = {t: w for t, w in weights.items() if w > 0.0}
         n = size - 1 - len(positive) if tail else 0
         bits = [tail * (1 << k) for k in range(n.bit_length()) if n >> k & 1]
-        total = math.fsum([*positive.values(), *bits])
+        try:
+            total = math.fsum([*positive.values(), *bits])
+        except OverflowError:  # finite terms whose sum is past the float range
+            total = math.inf
         if not total:
             return TokenDist({})
         if not math.isfinite(total):

@@ -203,6 +203,14 @@ class TestTrain:
 
 
 class TestBuildSynthetic:
+    @pytest.mark.parametrize("flag", ["n", "k"])
+    def test_count_below_one_is_one_error_line(self, corpus_path, tmp_path, capsys, flag):
+        out = tmp_path / "pairs.jsonl"
+        argv = ["build-synthetic", "--reviews", corpus_path, "--task", "common"]
+        assert main(argv + [f"--{flag}", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be >= 1\n"
+        assert not list(tmp_path.iterdir())
+
     def test_short_reviews_give_empty_output_and_exit_zero(
         self, corpus_path, tmp_path, capsys
     ):
@@ -556,7 +564,8 @@ class TestSummarize:
                 None,
                 None,
                 None,
-                "error: pair harbor_hotel|garden_inn, common: a value overflowed: intermediate",
+                "error: pair harbor_hotel|garden_inn, common: a weight overflowed:"
+                " the total is inf\n",
             ),
             ([], None, None, "delta = 1000\n", "contrastive_a: a value overflowed: (34,"),
             (["--delta-grid", "0,1000"], None, None, None, "contrastive_a: a value overflowed: (34,"),
@@ -592,6 +601,28 @@ class TestSummarize:
                 ),
                 None,
                 "error: entity id 'x|y' contains the pair separator '|'\n",
+            ),
+            (
+                ["--delta", "7", "--delta-grid", "0,1"],
+                None,
+                None,
+                None,
+                "error: --delta and --delta-grid both set delta; give one\n",
+            ),
+            (
+                ["--gamma", "3", "--gamma-grid", "0,1"],
+                None,
+                None,
+                None,
+                "error: --gamma and --gamma-grid both set gamma; give one\n",
+            ),
+            (["--delta-grid", "0,x"], None, None, None, "error: invalid grid value: 0,x\n"),
+            (
+                ["--pair", "harbor_hotel"],
+                None,
+                None,
+                None,
+                "error: pair must be 'A,B', got 'harbor_hotel'\n",
             ),
         ],
         ids=[
@@ -664,6 +695,10 @@ class TestSummarize:
             "gamma-overflows-to-nan",
             "review-not-utf-8-past-the-first-8-kb",
             "entity-id-holds-the-pair-separator",
+            "delta-and-delta-grid",
+            "gamma-and-gamma-grid",
+            "delta-grid-value-not-a-number",
+            "pair-without-a-comma",
         ],
     )
     def test_bad_input_is_one_error_line(
@@ -709,6 +744,14 @@ class TestSummarize:
             manifest = json.load(fh)
         assert manifest["config"]["delta"] == 1.0
         assert manifest["config"]["gamma"] == 0.0
+
+    def test_grid_flags_override_the_config_files_values(self, model_path, corpus_path, tmp_path):
+        # CLI flag > config file, so a grid is no conflict with the file's delta and gamma.
+        cfg = write(tmp_path / "decode.cfg", "delta = 0.25\ngamma = 0.75\n")
+        grid = ["--config", str(cfg), "--delta-grid", "0", "--gamma-grid", "0.5", *SHORT]
+        assert self.run_summarize(model_path, corpus_path, tmp_path / "sweep.json", grid) == 0
+        manifest = json.loads((tmp_path / "sweep.d0_g0.5.json.manifest.json").read_text())
+        assert (manifest["config"]["delta"], manifest["config"]["gamma"]) == (0.0, 0.5)
 
     def test_grid_sweep_emits_one_file_per_point(self, model_path, corpus_path, tmp_path):
         out = tmp_path / "sweep.json"

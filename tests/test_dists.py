@@ -78,8 +78,9 @@ def test_tail_normalizes_like_the_dense_list(weights, tail, size):
         ({1: 5e-324, 2: 2.0}, 0.0, 0, "a probability underflowed to 0.0"),
         ({1: 4.0}, 5e-324, 4, "a probability underflowed to 0.0"),
         ({1: math.inf, 2: 1.0}, 0.0, 0, "a weight overflowed: the total is inf"),
+        ({1: 1e308, 2: 1e308}, 0.0, 0, "a weight overflowed: the total is inf"),
     ],
-    ids=["entry-underflows", "tail-underflows", "weight-is-inf"],
+    ids=["entry-underflows", "tail-underflows", "weight-is-inf", "finite-weights-sum-to-inf"],
 )
 def test_from_weights_keeps_entries_positive_and_finite(weights, tail, size, message):
     with pytest.raises(ValueError) as caught:
