@@ -6,7 +6,6 @@ import argparse
 import dataclasses
 import errno
 import functools
-import hashlib
 import itertools
 import json
 import os
@@ -16,10 +15,11 @@ from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__, files
-from .data import EntityReviewSet, build_synthetic, load_reviews
+from .data import SUMMARY_RANGES, EntityReviewSet, build_synthetic, load_reviews
 from .decoding import (
     CONFIG_TYPES,
     DecodeConfig,
+    SummaryTriple,
     condition_pair,
     load_decode_config,
     make_pair_id,
@@ -28,6 +28,7 @@ from .decoding import (
 from .files import atomic_write_text
 from .lm import load_model, save_model, train_model
 from .metrics import (
+    ROUGE,
     distinctiveness,
     fold_sum,
     intra_pair_score,
@@ -40,14 +41,6 @@ from .vocab import tokenize_text
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _write_manifest(
@@ -86,7 +79,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         },
         inputs=[args.reviews],
         outputs=[args.out],
-        model_fingerprint=_sha256(args.out),
+        model_fingerprint=files.sha256(args.out),
     )
     return 0
 
@@ -171,7 +164,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
             raise ValueError(f"two grid points would write {path}")
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    fingerprint = _sha256(args.model)
+    fingerprint = files.sha256(args.model)
     records: Dict[str, List[dict]] = {path: [] for path in out_paths}
     for a, b in pairs:  # one pair's conditions live at a time
         pair = condition_pair(lm, corpus[a], corpus[b])
@@ -190,7 +183,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-SIDES = ("contrastive_a", "contrastive_b", "common")
+SIDES = tuple(f.name for f in dataclasses.fields(SummaryTriple) if f.name != "pair_id")
 
 
 def _mean(values: Sequence[float]) -> Optional[float]:
@@ -219,7 +212,7 @@ def _novelty(
     return rates
 
 
-_GENERATED = {key: files.STRING for key in ("pair_id",) + SIDES}
+_GENERATED = {f.name: files.STRING for f in dataclasses.fields(SummaryTriple)}
 _REFERENCE = {"pair_id": files.STRING, **{side: files.STRINGS for side in SIDES}}
 
 
@@ -262,21 +255,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             for side in SIDES:
                 refs = [tokenize_text(text) for text in ref[side]]
                 entry[side] = {
-                    "rouge1": dataclasses.asdict(rouge_multi(tokens[side], refs, 1)),
-                    "rouge2": dataclasses.asdict(rouge_multi(tokens[side], refs, 2)),
-                    "rougeL": dataclasses.asdict(rouge_multi(tokens[side], refs, None)),
+                    name: dataclasses.asdict(rouge_multi(tokens[side], refs, n))
+                    for name, n in ROUGE.items()
                 }
             entry["distinctiveness"] = distinctiveness(
                 *(Counter(tokens[side]) for side in SIDES)
             )
-            intra1, intra2, intral = intra_pair_score(
-                tokens["contrastive_a"], tokens["contrastive_b"]
-            )
-            entry["intra_rouge"] = {
-                "rouge1": intra1.f1,
-                "rouge2": intra2.f1,
-                "rougeL": intral.f1,
-            }
+            intra = intra_pair_score(tokens["contrastive_a"], tokens["contrastive_b"])
+            entry["intra_rouge"] = {name: score.f1 for name, score in zip(ROUGE, intra)}
             if corpus is not None:
                 entity_ids = pair_id.split("|")
                 if len(entity_ids) != 2:
@@ -290,18 +276,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         per_pair[pair_id] = entry
 
     means: Dict[str, object] = {
-        "distinctiveness": _mean(
-            [p["distinctiveness"] for p in per_pair.values()]
-        ),
-        "intra_rouge1": _mean(
-            [p["intra_rouge"]["rouge1"] for p in per_pair.values()]
-        ),
+        "distinctiveness": _mean([p["distinctiveness"] for p in per_pair.values()]),
+        "intra_rouge1": _mean([p["intra_rouge"]["rouge1"] for p in per_pair.values()]),
     }
-    for side in SIDES:
-        for metric in ("rouge1", "rouge2", "rougeL"):
-            means[f"{side}_{metric}_f1"] = _mean(
-                [p[side][metric]["f1"] for p in per_pair.values()]
-            )
+    for side, metric in itertools.product(SIDES, ROUGE):
+        means[f"{side}_{metric}_f1"] = _mean([p[side][metric]["f1"] for p in per_pair.values()])
     report = {"pairs": per_pair, "means": means}
     atomic_write_text(args.out, _dump_json(report))
     _write_manifest(
@@ -332,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build-synthetic", help="build pseudo training pairs")
     p_build.add_argument("--reviews", required=True)
-    p_build.add_argument("--task", choices=("contrastive", "common"), required=True)
+    p_build.add_argument("--task", choices=tuple(SUMMARY_RANGES), required=True)
     p_build.add_argument("--n", type=int, default=3)
     p_build.add_argument("--k", type=int, default=100)
     p_build.add_argument("--out", required=True)

@@ -1,7 +1,8 @@
-"""Files: inputs are parsed here, each fault naming its file; outputs are written whole."""
+"""Files: inputs are read whole and parsed here, each fault naming its file; outputs are written whole."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -15,15 +16,10 @@ STRINGS = ("a list of strings", lambda v: type(v) is list and all(type(t) is str
 
 def lines(path: str) -> Iterator[Tuple[str, str]]:
     """("<path> line N", stripped line) for each non-blank line of path."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line:
-                    yield f"{path} line {lineno}", line
-    except UnicodeDecodeError as exc:
-        read_text(path)  # names the offset in the file, not in exc's 8 KB chunk
-        raise ValueError(f"{path}: {exc}") from exc
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if line:
+            yield f"{path} line {lineno}", line
 
 
 def parse_json(text: str, where: str) -> object:
@@ -41,6 +37,12 @@ def read_text(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def sha256(path: str) -> str:
+    """The hex SHA-256 of the file's bytes."""
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def read_json(path: str) -> object:

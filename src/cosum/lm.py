@@ -18,7 +18,7 @@ from typing import Dict, Iterable, Sequence, Tuple
 
 from .dists import TokenDist
 from .files import STRINGS, atomic_write_text, checked, read_json
-from .vocab import BOS, BOS_ID, EOS, EOS_ID, UNK, Vocabulary, encode_corpus
+from .vocab import BOS, BOS_ID, EOS, EOS_ID, RESERVED, UNK, Vocabulary, encode_corpus
 
 Prefix = Tuple[int, ...]
 Counts = Dict[Prefix, Dict[int, int]]
@@ -110,14 +110,12 @@ class CacheModel:
 
     def next_dist(self, prefix: Sequence[int]) -> TokenDist:
         ctx = _context(prefix, self.order - 1)
-        for k in range(self.order, 0, -1):
+        for k in range(self.order, 0, -1):  # every sequence's EOS fills the () row
             ctx_counts = self.counts[k].get(ctx[self.order - k :])
             if ctx_counts:
-                total = sum(ctx_counts.values())
-                return TokenDist(
-                    {t: c / total for t, c in ctx_counts.items()}
-                )
-        raise RuntimeError("cache model has no unigram counts")
+                break
+        total = sum(ctx_counts.values())
+        return TokenDist({t: c / total for t, c in ctx_counts.items()})
 
 
 class CacheInterpolatedLM:
@@ -184,7 +182,7 @@ def save_model(lm: CacheInterpolatedLM, path: str) -> None:
     counts = [[ctx, sorted(rows[ctx].items())] for ctx in sorted(rows)]
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
-        "vocabulary": list(lm.vocabulary.tokens[3:]),
+        "vocabulary": list(lm.vocabulary.tokens[len(RESERVED) :]),
         "order": lm.background.order,
         "eps": lm.background.eps,
         "lambda": lm.lam,
@@ -259,7 +257,7 @@ def _load_model(path: str) -> CacheInterpolatedLM:
     checked(payload, path, _MODEL_FIELDS)
     vocabulary = Vocabulary(payload["vocabulary"])
     # Vocabulary merges a repeated or reserved token, shifting every later id.
-    if len(vocabulary) != 3 + len(payload["vocabulary"]):
+    if len(vocabulary) != len(RESERVED) + len(payload["vocabulary"]):
         raise ValueError(f"{path}: 'vocabulary' must be {_VOCABULARY}")
     try:
         background = NGramLM(payload["order"], vocabulary, payload["eps"])

@@ -90,6 +90,10 @@ def rouge_l(candidate: Tokens, reference: Tokens) -> RougeScore:
     return RougeScore.from_pr(lcs / len(candidate), lcs / len(reference))
 
 
+# Each ROUGE variant's report name and its n-gram size; None is ROUGE-L.
+ROUGE = {"rouge1": 1, "rouge2": 2, "rougeL": None}
+
+
 def rouge_multi(
     candidate: Tokens, references: Sequence[Tokens], n: int | None
 ) -> RougeScore:
@@ -111,14 +115,14 @@ def rouge_multi(
 
 def intra_pair_score(
     contrastive_a: Tokens, contrastive_b: Tokens
-) -> Tuple[RougeScore, RougeScore, RougeScore]:
-    """ROUGE-1/2/L between the two contrastive summaries; lower = more distinct."""
+) -> Tuple[RougeScore, ...]:
+    """Each ROUGE variant between the two contrastive summaries; lower = more distinct."""
     if not contrastive_a or not contrastive_b:
         raise ValueError("empty contrastive summary")
-    return (
-        rouge_n(contrastive_a, contrastive_b, 1),
-        rouge_n(contrastive_a, contrastive_b, 2),
-        rouge_l(contrastive_a, contrastive_b),
+    return tuple(
+        rouge_l(contrastive_a, contrastive_b) if n is None
+        else rouge_n(contrastive_a, contrastive_b, n)
+        for n in ROUGE.values()
     )
 
 

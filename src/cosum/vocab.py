@@ -16,6 +16,7 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
+RESERVED = (BOS, EOS, UNK)  # ids 0, 1, 2 in every vocabulary
 
 BOS_ID = 0
 EOS_ID = 1
@@ -36,7 +37,7 @@ class Vocabulary:
 
     def __init__(self, tokens: Iterable[str] = ()) -> None:
         # A repeated or reserved token keeps its first id.
-        self.tokens: Tuple[str, ...] = tuple(dict.fromkeys((BOS, EOS, UNK, *tokens)))
+        self.tokens: Tuple[str, ...] = tuple(dict.fromkeys((*RESERVED, *tokens)))
         self._index = {tok: tid for tid, tok in enumerate(self.tokens)}
 
     def __len__(self) -> int:
@@ -59,6 +60,6 @@ class Vocabulary:
 
 def encode_corpus(texts: Iterable[str]) -> Tuple[Vocabulary, List[List[int]]]:
     """The vocabulary of texts, with ids in order of first use, and each text's ids."""
-    index = {BOS: BOS_ID, EOS: EOS_ID, UNK: UNK_ID}
+    index = {tok: tid for tid, tok in enumerate(RESERVED)}
     sequences = [[index.setdefault(w, len(index)) for w in tokenize_text(t)] for t in texts]
     return Vocabulary(index), sequences

@@ -10,6 +10,7 @@ import cosum.cli
 import cosum.decoding
 import cosum.lm
 from cosum.cli import main
+from cosum.files import atomic_write_text
 from cosum.metrics import ngrams
 from cosum.vocab import tokenize_text
 
@@ -129,6 +130,14 @@ class TestTrain:
         assert capsys.readouterr().err == "error: cannot serialise\n"
         assert out.read_bytes() == old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+    def test_writing_onto_a_directory_names_it_and_leaves_no_temporary_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError) as excinfo:
+            atomic_write_text(str(target), "text")
+        assert excinfo.value.filename == str(target)
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_retrain_identical_fingerprint(self, corpus_path, tmp_path):
         out1 = tmp_path / "m1.json"
@@ -593,6 +602,14 @@ class TestSummarize:
                 f"bad.jsonl: 'utf-8' codec can't decode byte 0xff in position {len(LONG_REVIEWS)}:",
             ),
             (
+                [],
+                None,
+                REVIEW.encode() + b"{\n" + LONG_REVIEWS + b"\xff\n",
+                None,
+                "bad.jsonl: 'utf-8' codec can't decode byte 0xff in position"
+                f" {len(REVIEW) + 2 + len(LONG_REVIEWS)}:",
+            ),
+            (
                 ["--pair", "x|y,z"],
                 None,
                 "".join(
@@ -694,6 +711,7 @@ class TestSummarize:
             "delta-underflows",
             "gamma-overflows-to-nan",
             "review-not-utf-8-past-the-first-8-kb",
+            "review-not-utf-8-after-a-malformed-line",
             "entity-id-holds-the-pair-separator",
             "delta-and-delta-grid",
             "gamma-and-gamma-grid",

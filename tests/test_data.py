@@ -79,6 +79,14 @@ class TestLoadReviews:
 
 
 class TestEntityReviewSet:
+    def test_no_reviews_rejected(self):
+        with pytest.raises(ValueError, match="entity 'e' has no reviews"):
+            EntityReviewSet("e", [])
+
+    def test_review_of_another_entity_rejected(self):
+        with pytest.raises(ValueError, match="review 'r1' belongs to 'f', not 'e'"):
+            EntityReviewSet("e", [Review("f", "r1", "clean room")])
+
     def test_duplicate_review_ids_rejected(self):
         # Unchecked, build_synthetic would pick "r2" as an input of "s"
         # without saying which of the two reviews it read.
@@ -166,6 +174,10 @@ class TestBuildSynthetic:
                 reviews.append(make_review(eid, f"{eid}-r{i}", rng, length))
             corpus.append(EntityReviewSet(eid, reviews))
         return corpus
+
+    def test_unknown_task_rejected(self):
+        with pytest.raises(ValueError, match="unknown task 'x'"):
+            build_synthetic(self.fixture_corpus(), task="x", n=2, k=5)
 
     def test_forced_selection_uses_all_other_reviews(self):
         rng = random.Random(1)

@@ -99,6 +99,10 @@ class TestRougeN:
         assert s.precision == pytest.approx(1 / 3)
         assert s.recall == pytest.approx(0.5)
 
+    def test_n_below_one_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            ngrams("a b".split(), 0)
+
     def test_n_larger_than_inputs_gives_zeros(self):
         s = rouge_n("a b".split(), "a".split(), 3)
         assert (s.precision, s.recall, s.f1) == (0.0, 0.0, 0.0)
